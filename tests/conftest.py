@@ -1,8 +1,21 @@
+import functools
+import json
 import pathlib
 
 import pytest
 
 DATA = pathlib.Path(__file__).parent / "data"
+GOLDEN_PATH = DATA / "golden_verdicts.json"
+
+
+@functools.cache
+def _golden():
+    return json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
+
+
+def golden_verdict(key):
+    """Recorded JSON output of the query named key in tests/test_golden.py."""
+    return _golden()[key]
 
 
 def read_corpus(name):

@@ -112,6 +112,17 @@ def test_sat_step_cap(capsys, monkeypatch):
     assert code == 3 and out.splitlines()[0] == "bound_exhausted"
 
 
+def test_sat_step_cap_counts_only_checked_models(capsys):
+    # The twelfth model is the first witness: a cap of 12 must reach it and
+    # a cap of 11 must not.  Prefetching candidates must never tick the cap.
+    argv = ("sat", "--worlds", "2", "--domain", "2",
+            "exists x exists y (Q(x) & <>Q(y) & ~(x = y))")
+    code, out, _ = run(capsys, *argv, "--max-steps", "12")
+    assert code == 0 and out.splitlines()[0] == "satisfiable"
+    code, out, _ = run(capsys, *argv, "--max-steps", "11")
+    assert code == 3 and out.splitlines()[0] == "bound_exhausted"
+
+
 def test_decide(capsys, frame_file):
     code, out, _ = run(capsys, "decide", "--frame", frame_file,
                        "--domain", "2", "<>Q(x) -> <>Q(x)")

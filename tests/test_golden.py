@@ -1,0 +1,102 @@
+"""Golden verdicts: fixed sat/decide/separate queries whose JSON output
+must stay byte-identical across refactors of the search and evaluator.
+
+The file ``tests/data/golden_verdicts.json`` was recorded from a trusted
+revision with ``PYTHONPATH=src python -m tests.test_golden --write``.
+"""
+
+import json
+import sys
+
+import pytest
+
+from monotrick.search import (
+    FrameClass, decide_valid_over_frame, eq_separation_search, sat_bounded,
+)
+from monotrick.semantics import Frame
+from monotrick.syntax import parse
+from tests.conftest import GOLDEN_PATH, golden_verdict
+
+CHAIN = Frame(("w0", "w1"), frozenset({("w0", "w1")}))
+PREORDER_CHAIN = Frame(("w0", "w1"),
+                       frozenset({("w0", "w0"), ("w0", "w1"), ("w1", "w1")}))
+REFLEXIVE_POINT = Frame(("w0",), frozenset({("w0", "w0")}))
+
+
+def _sat(text, worlds=2, domain=2, **kwargs):
+    return lambda: sat_bounded(parse(text), FrameClass(), worlds, domain,
+                               **kwargs).to_json()
+
+
+def _decide(frame, text, domain=2, **kwargs):
+    return lambda: decide_valid_over_frame(frame, parse(text), domain,
+                                           **kwargs).to_json()
+
+
+def _separate(worlds, domain):
+    return lambda: json.dumps(eq_separation_search(worlds, domain).to_dict(),
+                              sort_keys=True, indent=2)
+
+
+QUERIES = {
+    "sat-modal-eq3-diamond-pair":
+        _sat("exists x exists y <>(Q1(x) & Q2(y))"),
+    "sat-modal-eq1-distinct-q":
+        _sat("exists x exists y (~(x = y) & Q(x))", eq_principle="eq1"),
+    "sat-modal-eq1-merge-later":
+        _sat("exists x exists y (~(x = y) & <>(x = y))", eq_principle="eq1"),
+    "sat-modal-eq2-merge-later":
+        _sat("exists x exists y (~(x = y) & <>(x = y))", eq_principle="eq2"),
+    "sat-modal-eq3-step-cap-12":
+        _sat("exists x exists y (Q(x) & <>Q(y) & ~(x = y))", max_steps=12),
+    "sat-modal-eq3-step-cap-exhausted":
+        _sat("false", worlds=3, max_steps=5),
+    "sat-modal-eq3-constant-domains":
+        _sat("exists x <>~Q(x) & []exists y Q(y)", constant_domains=True),
+    "sat-int-eq1-two-statuses":
+        _sat("exists x ~Q(x) & exists y ~~Q(y)", mode="int",
+             eq_principle="eq1"),
+    "sat-int-eq3-negated-excluded-middle":
+        _sat("~forall x (Q(x) | ~Q(x))", mode="int"),
+    "decide-modal-eq3-chain-persistence":
+        _decide(CHAIN, "forall x (Q(x) -> []Q(x))"),
+    "decide-modal-eq1-chain-distinctness":
+        _decide(CHAIN, "~(x = y) -> []~(x = y)", eq_principle="eq1"),
+    "decide-modal-eq2-chain-distinctness":
+        _decide(CHAIN, "~(x = y) -> []~(x = y)", eq_principle="eq2"),
+    "decide-modal-eq3-chain-box-true":
+        _decide(CHAIN, "[]true"),
+    "decide-int-eq1-decidable-equality":
+        _decide(PREORDER_CHAIN, "x = y | ~(x = y)", mode="int",
+                eq_principle="eq1"),
+    "decide-int-eq2-decidable-equality":
+        _decide(PREORDER_CHAIN, "x = y | ~(x = y)", mode="int",
+                eq_principle="eq2"),
+    "decide-int-eq3-heuristic-bound":
+        _decide(REFLEXIVE_POINT, "forall x (Q(x) | ~Q(x))", domain=None,
+                mode="int"),
+    "decide-modal-eq3-non-monadic":
+        _decide(REFLEXIVE_POINT, "forall x forall y (P(x,y) -> P(x,y))",
+                domain=1),
+    "separate-2-2": _separate(2, 2),
+    "separate-3-2": _separate(3, 2),
+}
+
+
+@pytest.mark.parametrize("key", sorted(QUERIES))
+def test_golden_verdict(key):
+    assert QUERIES[key]() == golden_verdict(key)
+
+
+def test_golden_file_covers_every_query():
+    with open(GOLDEN_PATH, encoding="utf-8") as fh:
+        assert sorted(json.load(fh)) == sorted(QUERIES)
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit("usage: python -m tests.test_golden --write")
+    with open(GOLDEN_PATH, "w", encoding="utf-8") as fh:
+        json.dump({key: QUERIES[key]() for key in sorted(QUERIES)}, fh,
+                  indent=1, sort_keys=True)
+        fh.write("\n")

@@ -1,14 +1,16 @@
 import json
 import random
+from itertools import product
 
 import pytest
 
+from monotrick.search import FrameClass, enumerate_frames, enumerate_models
 from monotrick.semantics import (
-    Equality, EvaluationError, Frame, Model, evaluate, frame_from_dict,
-    identity_partition, model_from_dict, model_to_dict, valid_in_model,
-    validate_model,
+    MODES, PRINCIPLES, Equality, EvaluationError, Frame, Model, evaluate,
+    frame_from_dict, identity_partition, model_from_dict, model_to_dict,
+    valid_in_model, validate_model,
 )
-from monotrick.syntax import parse
+from monotrick.syntax import free_variables, letters, parse
 from tests.test_syntax import random_formula
 
 
@@ -185,6 +187,88 @@ def naive_int_eval(m, w, sigma, f):
         return any(naive_int_eval(m, w, {**sigma, f.var: a}, f.body)
                    for a in m.domains[w])
     raise AssertionError(type(f))
+
+
+def naive_modal_eval(m, w, sigma, f):
+    """Independent modal evaluator used as a test oracle."""
+    from monotrick import syntax as s
+    up = [v for v in m.frame.worlds if (w, v) in m.frame.access]
+    if isinstance(f, s.Atom):
+        return tuple(sigma[x] for x in f.args) in \
+            m.valuation.get(w, {}).get(f.letter, frozenset())
+    if isinstance(f, s.Eq):
+        return m.related(w, sigma[f.left], sigma[f.right])
+    if isinstance(f, s.Verum):
+        return True
+    if isinstance(f, s.Falsum):
+        return False
+    if isinstance(f, s.Not):
+        return not naive_modal_eval(m, w, sigma, f.body)
+    if isinstance(f, s.And):
+        return naive_modal_eval(m, w, sigma, f.left) and \
+            naive_modal_eval(m, w, sigma, f.right)
+    if isinstance(f, s.Or):
+        return naive_modal_eval(m, w, sigma, f.left) or \
+            naive_modal_eval(m, w, sigma, f.right)
+    if isinstance(f, s.Implies):
+        return not naive_modal_eval(m, w, sigma, f.left) or \
+            naive_modal_eval(m, w, sigma, f.right)
+    if isinstance(f, s.Iff):
+        return naive_modal_eval(m, w, sigma, f.left) == \
+            naive_modal_eval(m, w, sigma, f.right)
+    if isinstance(f, s.Box):
+        return all(naive_modal_eval(m, v, sigma, f.body) for v in up)
+    if isinstance(f, s.Diamond):
+        return any(naive_modal_eval(m, v, sigma, f.body) for v in up)
+    if isinstance(f, s.Forall):
+        return all(naive_modal_eval(m, w, {**sigma, f.var: a}, f.body)
+                   for a in m.domains[w])
+    if isinstance(f, s.Exists):
+        return any(naive_modal_eval(m, w, {**sigma, f.var: a}, f.body)
+                   for a in m.domains[w])
+    raise AssertionError(type(f))
+
+
+def _differential_formulas(rng, mode, count):
+    """Random formulas small enough to check on every model: no binary
+    letter, at most two letters, and no modality in intuitionistic mode."""
+    out = []
+    while len(out) < count:
+        f = random_formula(rng, depth=3, vars_in_scope=["x", "y"])
+        text = str(f)
+        if "P(" in text or len(letters(f)) > 2:
+            continue
+        if mode == "int" and ("[]" in text or "<>" in text):
+            continue
+        out.append(f)
+    return out
+
+
+@pytest.mark.parametrize("principle", PRINCIPLES)
+@pytest.mark.parametrize("mode", MODES)
+def test_evaluator_matches_naive_oracle(mode, principle):
+    """Every point of every model on every 2-world frame of the mode."""
+    rng = random.Random(f"differential-{mode}-{principle}")
+    naive = naive_modal_eval if mode == "modal" else naive_int_eval
+    cls = FrameClass(frozenset({"reflexive", "transitive"})) \
+        if mode == "int" else FrameClass()
+    frames = [fr for fr in enumerate_frames(2, cls) if len(fr.worlds) == 2]
+    points = 0
+    for fr in frames:
+        for f in _differential_formulas(rng, mode, 192 // len(frames)):
+            fv = sorted(free_variables(f))
+            for m in enumerate_models(fr, letters(f), 2, mode, principle):
+                expect_valid = True
+                for w in fr.worlds:
+                    for combo in product(m.domains[w], repeat=len(fv)):
+                        sigma = dict(zip(fv, combo))
+                        expected = naive(m, w, sigma, f)
+                        assert evaluate(m, w, sigma, f) == expected, \
+                            (str(f), w, sigma)
+                        expect_valid = expect_valid and expected
+                        points += 1
+                assert valid_in_model(m, f)[0] == expect_valid, str(f)
+    assert points > 5000
 
 
 class TestValidInModel:
