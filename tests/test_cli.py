@@ -123,6 +123,12 @@ def test_sat_step_cap_counts_only_checked_models(capsys):
     assert code == 3 and out.splitlines()[0] == "bound_exhausted"
 
 
+def test_workers_option_is_gone(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["sat", "--worlds", "1", "--domain", "1", "--workers", "3", "true"])
+    assert info.value.code == 2
+
+
 def test_decide(capsys, frame_file):
     code, out, _ = run(capsys, "decide", "--frame", frame_file,
                        "--domain", "2", "<>Q(x) -> <>Q(x)")
@@ -177,6 +183,51 @@ def test_json_verdict_round_trips(capsys, frame_file):
     from monotrick.semantics import model_from_dict, validate_model
     model = model_from_dict(payload["witness"]["model"])
     assert validate_model(model) == []
+
+
+def _assert_usage_error(code, err):
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("command", ["decide", "frame-props"])
+def test_frame_edge_to_unknown_world_exit_2(capsys, tmp_path, command):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"worlds": ["w0", "w1"],
+                                "access": [["w0", "w9"]]}))
+    argv = [command, "--frame", str(path)] + (
+        ["--domain", "1", "p"] if command == "decide" else [])
+    code, _, err = run(capsys, *argv)
+    _assert_usage_error(code, err)
+    assert "leaves the world set" in err
+
+
+def test_model_with_list_domains_exit_2(capsys, tmp_path, model_file):
+    broken = json.loads(open(model_file).read())
+    broken["domains"] = ["0", "1"]
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(broken))
+    code, _, err = run(capsys, "validate", "--model", str(path))
+    _assert_usage_error(code, err)
+
+
+@pytest.mark.parametrize("argv", [
+    ("eval", "--world", "root", "--assign", "x=0", "Q1(x,x)"),
+    ("check", "Q1(x,x)"),
+])
+def test_letter_arity_mismatch_exit_2(capsys, model_file, argv):
+    command, *rest = argv
+    code, out, err = run(capsys, command, "--model", model_file, *rest)
+    _assert_usage_error(code, err)
+    assert "letter Q1 has arity 2" in err and out == ""
+
+
+@pytest.mark.parametrize("text", ["~" * 3000 + "p",
+                                  "(" * 3000 + "p" + ")" * 3000])
+def test_deep_formula_exit_2(capsys, text):
+    code, _, err = run(capsys, "parse", text)
+    _assert_usage_error(code, err)
+    assert "nests deeper" in err
 
 
 def test_missing_model_file(capsys):

@@ -8,6 +8,7 @@ from monotrick.search import (
 )
 from monotrick.semantics import Frame, evaluate, validate_model
 from monotrick.syntax import parse
+from tests.conftest import golden_verdict
 
 
 def frame(worlds, access):
@@ -139,11 +140,10 @@ class TestSatBounded:
             again = sat_bounded(f, FrameClass(), worlds, domain)
             assert again.outcome == "satisfiable"
 
-    def test_workers_agree(self):
+    def test_matches_golden_verdict(self):
         f = parse("exists x exists y <>(Q1(x) & Q2(y))")
-        one = sat_bounded(f, FrameClass(), 2, 2, workers=1)
-        four = sat_bounded(f, FrameClass(), 2, 2, workers=4)
-        assert one.to_json() == four.to_json()
+        assert sat_bounded(f, FrameClass(), 2, 2).to_json() == \
+            golden_verdict("sat-modal-eq3-diamond-pair")
 
 
 class TestDecideValidOverFrame:
@@ -188,13 +188,13 @@ class TestDecideValidOverFrame:
             decide_valid_over_frame(frame(["w0"], []), parse("true"),
                                     1, mode="int")
 
-    def test_workers_agree(self):
+    def test_matches_golden_verdict(self):
         f = parse("forall x (Q(x) -> []Q(x))")
         fr = frame(["w0", "w1"], [("w0", "w1")])
-        one = decide_valid_over_frame(fr, f, 2, workers=1)
-        four = decide_valid_over_frame(fr, f, 2, workers=4)
-        assert one.outcome == "countermodel"
-        assert one.to_json() == four.to_json()
+        verdict = decide_valid_over_frame(fr, f, 2)
+        assert verdict.outcome == "countermodel"
+        assert verdict.to_json() == \
+            golden_verdict("decide-modal-eq3-chain-persistence")
 
 
 def test_oracle_agreement_on_reflexive_point(monadic_corpus):

@@ -6,8 +6,8 @@ import pytest
 
 from monotrick.search import FrameClass, enumerate_frames, enumerate_models
 from monotrick.semantics import (
-    MODES, PRINCIPLES, Equality, EvaluationError, Frame, Model, evaluate,
-    frame_from_dict, identity_partition, model_from_dict, model_to_dict,
+    MODES, PRINCIPLES, Equality, EvaluationError, Frame, Model,
+    check_letter_arities, compile_formula, evaluate, frame_from_dict, identity_partition, model_from_dict, model_to_dict,
     valid_in_model, validate_model,
 )
 from monotrick.syntax import free_variables, letters, parse
@@ -295,6 +295,14 @@ class TestValidInModel:
         assert world == "w"
         assert set(sigma.values()) == {"a", "b"}
 
+    def test_compiled_formula_must_match_the_model_mode(self):
+        f = parse("x = y | ~(x = y)")
+        m = simple_model(mode="int")
+        assert valid_in_model(m, compile_formula(f, "int")) == \
+            valid_in_model(m, f)
+        with pytest.raises(EvaluationError, match="compiled for modal"):
+            valid_in_model(m, compile_formula(f, "modal"))
+
 
 def test_modal_dualities_pointwise():
     rng = random.Random(5)
@@ -345,3 +353,47 @@ class TestJson:
         assert fr.access == frozenset({("w0", "w1")})
         with pytest.raises(ValueError):
             frame_from_dict({"worlds": [], "access": [], "bogus": 1})
+
+    @pytest.mark.parametrize("d, message", [
+        ({"worlds": ["w0", "w0"], "access": []}, "duplicate worlds"),
+        ({"worlds": ["w0", "w1"], "access": [["w0", "w9"]]},
+         "leaves the world set"),
+        ({"worlds": ["w0"], "access": [["w0"]]}, "not a pair"),
+        ({"worlds": "w0", "access": []}, "worlds must be a JSON list"),
+        ({"worlds": ["w0"]}, "missing key 'access'"),
+        (["w0"], "frame must be a JSON object"),
+    ])
+    def test_malformed_frames_rejected(self, d, message):
+        with pytest.raises(ValueError, match=message):
+            frame_from_dict(d)
+
+    @pytest.mark.parametrize("path, value, message", [
+        (("domains",), ["a", "b"], "domains must be a JSON object"),
+        (("valuation",), [], "valuation must be a JSON object"),
+        (("valuation", "w"), [["a"]], "valuation at w must be a JSON object"),
+        (("equality", "classes"), [["a"]], "classes must be a JSON object"),
+        (("equality", "classes", "w"), "ab", "classes at w must be a JSON list"),
+        (("worlds",), ["w", "v", "w"], "duplicate worlds"),
+    ])
+    def test_malformed_models_rejected(self, path, value, message):
+        d = json.loads(json.dumps(model_to_dict(simple_model())))
+        target = d
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        with pytest.raises(ValueError, match=message):
+            model_from_dict(d)
+
+
+class TestLetterArities:
+    def test_mismatch_rejected(self):
+        m = simple_model(valuation={"w": {"Q": frozenset({("a", "b")})},
+                                    "v": {}})
+        with pytest.raises(EvaluationError, match="letter Q has arity 1"):
+            check_letter_arities(m, parse("Q(x)"))
+
+    def test_matching_and_unused_letters_pass(self):
+        m = simple_model(valuation={"w": {"Q": frozenset({("a",)}),
+                                          "P": frozenset({("a", "b")})},
+                                    "v": {"Q": frozenset()}})
+        check_letter_arities(m, parse("Q(x) & R(x,y,z)"))

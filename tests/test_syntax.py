@@ -3,9 +3,9 @@ import random
 import pytest
 
 from monotrick.syntax import (
-    And, Atom, ArityConflictError, Box, Diamond, Eq, Exists, Falsum, Forall,
-    Iff, Implies, Not, Or, ParseError, Verum, classify, free_variables,
-    letters, modal_depth, parse, render,
+    MAX_DEPTH, And, Atom, ArityConflictError, Box, Diamond, Eq, Exists, Falsum,
+    Forall, Iff, Implies, Not, Or, ParseError, Verum, classify, free_variables,
+    letters, modal_depth, nesting_depth, parse, render,
 )
 
 
@@ -62,6 +62,46 @@ class TestParse:
     def test_unexpected_character(self):
         with pytest.raises(ParseError):
             parse("p $ q")
+
+
+class TestDepthBound:
+    @pytest.mark.parametrize("text", [
+        "~" * 3000 + "p",
+        "(" * 3000 + "p" + ")" * 3000,
+        " & ".join(["p"] * 3000),
+        "~" * MAX_DEPTH + "p",
+        "(" * (MAX_DEPTH + 1) + "p" + ")" * (MAX_DEPTH + 1),
+    ], ids=["not-3000", "parentheses-3000", "and-3000", "not-limit",
+            "parentheses-limit"])
+    def test_too_deep_is_a_parse_error(self, text):
+        with pytest.raises(ParseError, match="nests deeper"):
+            parse(text)
+
+    @pytest.mark.parametrize("text", [
+        "~" * (MAX_DEPTH - 1) + "P(x,y)",
+        "[]" * (MAX_DEPTH - 1) + "P(x,y)",
+        "forall x " * (MAX_DEPTH - 1) + "P(x,y)",
+        "(" * MAX_DEPTH + "P(x,y)" + ")" * MAX_DEPTH,
+        " -> ".join(["P(x,y)"] * MAX_DEPTH),
+        " & ".join(["P(x,y)"] * MAX_DEPTH),
+    ], ids=["not", "box", "forall", "parentheses", "implies", "and"])
+    def test_deepest_accepted_formulas_are_usable(self, text):
+        from monotrick.semantics import evaluate, valid_in_model
+        from monotrick.translations import Variant, fresh_scheme, kripke_trick
+        from tests.test_semantics import simple_model
+        f = parse(text)
+        assert nesting_depth(f) <= MAX_DEPTH
+        assert parse(render(f)) == f
+        classify(f)
+        has_box = "[]" in text
+        if not has_box:  # the trick takes classical input only
+            kripke_trick(f, Variant.DIAMOND2, fresh_scheme(f))
+        for mode in ("modal",) if has_box else ("modal", "int"):
+            m = simple_model(mode=mode, valuation={
+                "w": {"P": frozenset({("a", "b")})},
+                "v": {"P": frozenset({("a", "b")})}})
+            evaluate(m, "w", {"x": "a", "y": "b"}, f)
+            valid_in_model(m, f)
 
 
 class TestRender:
