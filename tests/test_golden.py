@@ -11,7 +11,8 @@ import sys
 import pytest
 
 from monotrick.search import (
-    FrameClass, decide_valid_over_frame, eq_separation_search, sat_bounded,
+    decide_valid_over_frame, eq_separation_search, parse_frame_class,
+    sat_bounded,
 )
 from monotrick.semantics import Frame
 from monotrick.syntax import parse
@@ -23,9 +24,9 @@ PREORDER_CHAIN = Frame(("w0", "w1"),
 REFLEXIVE_POINT = Frame(("w0",), frozenset({("w0", "w0")}))
 
 
-def _sat(text, worlds=2, domain=2, **kwargs):
-    return lambda: sat_bounded(parse(text), FrameClass(), worlds, domain,
-                               **kwargs).to_json()
+def _sat(text, worlds=2, domain=2, cls="", **kwargs):
+    return lambda: sat_bounded(parse(text), parse_frame_class(cls), worlds,
+                               domain, **kwargs).to_json()
 
 
 def _decide(frame, text, domain=2, **kwargs):
@@ -58,6 +59,20 @@ QUERIES = {
              eq_principle="eq1"),
     "sat-int-eq3-negated-excluded-middle":
         _sat("~forall x (Q(x) | ~Q(x))", mode="int"),
+    # First witnesses on 3-world frames: the search passes frames that are
+    # isomorphic to earlier ones before it reaches them.
+    "sat-modal-eq3-symmetric-three-worlds":
+        _sat("p & ~q & <>(q & ~p) & <>(~p & ~q)", worlds=3, domain=1,
+             cls="symmetric"),
+    "sat-modal-eq1-serial-three-worlds":
+        _sat("exists x exists y (p & ~(x = y) & <>(x = y) & "
+             "<>(~p & ~(x = y)))", worlds=3, cls="serial", eq_principle="eq1"),
+    "sat-modal-eq3-transitive-three-worlds":
+        _sat("exists x (Q(x) & ~p & <>(~Q(x) & ~p) & <>(p & exists y ~Q(y)))",
+             worlds=3, cls="transitive"),
+    "sat-modal-eq2-preorder-three-worlds":
+        _sat("exists x (Q(x) & ~p & <>(~Q(x) & ~p) & <>p)", worlds=3,
+             cls="reflexive,transitive", eq_principle="eq2"),
     "decide-modal-eq3-chain-persistence":
         _decide(CHAIN, "forall x (Q(x) -> []Q(x))"),
     "decide-modal-eq1-chain-distinctness":
