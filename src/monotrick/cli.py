@@ -2,7 +2,9 @@
 
 Exit codes: 0 affirmative (valid / satisfiable / clean validation /
 true), 1 negative (countermodel, unsatisfiable, violations, false),
-2 usage or input error, 3 bound exhausted or resource cap hit.
+2 usage or input error, 3 bound exhausted or resource cap hit,
+4 internal error (an unexpected exception; never a verdict).
+Errors are reported on one line of standard error.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_EXHAUSTED = 3
+EXIT_INTERNAL = 4
 
 _VERDICT_EXIT = {
     "valid": EXIT_OK,
@@ -40,6 +43,14 @@ _VERDICT_EXIT = {
 
 class UsageError(Exception):
     pass
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports malformed arguments as one ``error:`` line, not a usage
+    text; subparsers are made of the same class."""
+
+    def error(self, message):
+        self.exit(EXIT_USAGE, f"error: {message}\n")
 
 
 def _read_formula(arg: str) -> syntax.Formula:
@@ -214,7 +225,7 @@ def _cmd_separate(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="monotrick",
         description="Kripke-trick translations, Kripke semantics with "
                     "equality principles, and bounded finite-model search.")
@@ -298,6 +309,9 @@ def main(argv=None) -> int:
             json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:  # a bug, not a verdict: keep it off exit 1
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def entry():

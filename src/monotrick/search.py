@@ -4,19 +4,23 @@ fixed-finite-frame decision procedure.
 
 All enumerations are deterministic: world counts and domain sizes
 ascend, relations and valuations follow lexicographic bit order, and
-witnesses are always the enumeration-order-least.
+witnesses are always the enumeration-order-least.  Searches over frame
+classes visit one frame per isomorphism class, the least labelled one;
+every class property is invariant under renaming worlds, so the first
+frame with a hit is the same as in the full enumeration.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import product
+from functools import cache
+from itertools import permutations, product
 
 from .semantics import (
-    Compiled, Equality, Frame, Model, block_map, compile_formula, evaluate,
-    identity_partition, model_to_dict, partition_congruent, valid_in_model,
-    validate_model,
+    Compiled, Equality, Frame, Model, compile_formula, evaluate,
+    heredity_violations, identity_partition, model_to_dict,
+    partition_congruent, valid_in_model, validate_model,
 )
 from .syntax import (
     And, Atom, Box, Diamond, Eq, Exists, Falsum, Forall, Formula, Iff,
@@ -125,22 +129,66 @@ def frame_matches(fr: Frame, cls: FrameClass) -> bool:
     return cls.alt_bound is None or report.max_out_degree <= cls.alt_bound
 
 
-def enumerate_frames(world_bound: int, cls: FrameClass = FrameClass()):
-    """Yield every frame on canonical worlds w0..wk matching cls.
-
-    World count ascends; accessibility relations follow lexicographic
-    bit order over the sorted pair list.
-    """
+def _frames(world_bound: int, cls: FrameClass, keep):
+    """Frames on w0..w(n-1), n ascending, in bit-mask order; bit n*a + b
+    of a mask is the edge wa -> wb.  Yields those whose mask keep(n, mask)
+    accepts and that match cls."""
     if world_bound < 1:
         raise ValueError("world_bound must be >= 1")
     for n in range(1, world_bound + 1):
         worlds = tuple(f"w{i}" for i in range(n))
         pairs = [(a, b) for a in worlds for b in worlds]
         for mask in range(1 << len(pairs)):
+            if not keep(n, mask):
+                continue
             access = frozenset(p for i, p in enumerate(pairs) if mask >> i & 1)
             fr = Frame(worlds, access)
             if frame_matches(fr, cls):
                 yield fr
+
+
+def enumerate_frames(world_bound: int, cls: FrameClass = FrameClass()):
+    """Yield every frame on canonical worlds w0..wk matching cls.
+
+    World count ascends; accessibility relations follow lexicographic
+    bit order over the sorted pair list.
+    """
+    return _frames(world_bound, cls, lambda n, mask: True)
+
+
+@cache
+def _renamings(n: int) -> list:
+    """One entry per non-identity permutation p of the n worlds: for each
+    world a, a table from the bits of a's out-edges (bit b: a -> b) to the
+    mask bits of the renamed edges p(a) -> p(b)."""
+    out = []
+    for p in permutations(range(n)):
+        if p == tuple(range(n)):
+            continue
+        out.append([[sum(1 << (n * p[a] + p[b]) for b in range(n) if row >> b & 1)
+                     for row in range(1 << n)]
+                    for a in range(n)])
+    return out
+
+
+def _least_labelled(n: int, mask: int) -> bool:
+    """Whether no renaming of the worlds gives the frame a smaller mask."""
+    full = (1 << n) - 1
+    rows = [mask >> (n * a) & full for a in range(n)]
+    for tables in _renamings(n):
+        renamed = 0
+        for table, row in zip(tables, rows):
+            renamed |= table[row]
+        if renamed < mask:
+            return False
+    return True
+
+
+def enumerate_frames_up_to_iso(world_bound: int,
+                               cls: FrameClass = FrameClass()):
+    """The frames of enumerate_frames that have the least mask in their
+    isomorphism class, in the same order: one frame per class."""
+    return _frames(world_bound, cls, _least_labelled)
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +328,42 @@ def _valuation_families(frame: Frame, domains: dict, letter_arities: dict,
     return families
 
 
+def _equalities(frame: Frame, domains: dict, principle: str):
+    """Every equality on the domain assignment that the principle's
+    heredity rules allow, whatever the valuation.
+
+    Returns (partitions, options): partitions[i] lists the partitions of
+    the i-th world's domain; options holds (index of each world's
+    partition, Equality) in product order.  Under eq3 the one option is
+    the identity; principle "any" keeps every family.
+    """
+    worlds = frame.worlds
+    if principle == "eq3":
+        identity = {w: identity_partition(domains[w]) for w in worlds}
+        return [[identity[w]] for w in worlds], \
+            [((0,) * len(worlds), Equality("eq3", identity))]
+    partitions = [list(_set_partitions(tuple(sorted(domains[w]))))
+                  for w in worlds]
+    options = []
+    for combo in product(*(range(len(parts)) for parts in partitions)):
+        eq = Equality(principle, {w: parts[i] for w, parts, i
+                                  in zip(worlds, partitions, combo)})
+        if next(heredity_violations(frame, domains, eq), None) is None:
+            options.append((combo, eq))
+    return partitions, options
+
+
+def _congruent(frame: Frame, valuation: dict, partitions: list,
+               options: list) -> list:
+    """The Equality of each option of _equalities whose partition at every
+    world is congruent with the valuation, in the options' order."""
+    ok = [[partition_congruent(part, valuation.get(w, {})) is None
+           for part in parts]
+          for w, parts in zip(frame.worlds, partitions)]
+    return [eq for combo, eq in options
+            if all(row[i] for row, i in zip(ok, combo))]
+
+
 def _eq_families(frame: Frame, domains: dict, valuation: dict, principle: str):
     """Per-world partition families consistent with the principle and
     congruent with the valuation.
@@ -287,42 +371,9 @@ def _eq_families(frame: Frame, domains: dict, valuation: dict, principle: str):
     Principle "any" applies only the congruence filter, yielding every
     congruent family regardless of cross-world heredity.
     """
-    if principle == "eq3":
-        yield {w: identity_partition(domains[w]) for w in frame.worlds}
-        return
-    per_world = []
-    for w in frame.worlds:
-        options = []
-        for part in _set_partitions(tuple(sorted(domains[w]))):
-            if partition_congruent(part, valuation.get(w, {})) is None:
-                options.append(part)
-        per_world.append(options)
-    for combo in product(*per_world):
-        family = dict(zip(frame.worlds, combo))
-        if principle == "any":
-            yield family
-            continue
-        blocks = {w: block_map(family[w]) for w in frame.worlds}
-        ok = True
-        for (w, v) in frame.access:
-            for a in domains[w]:
-                for b in domains[w]:
-                    if a >= b:
-                        continue
-                    same_w = blocks[w].get(a) is blocks[w].get(b)
-                    same_v = blocks[v].get(a) is blocks[v].get(b)
-                    if same_w and not same_v:
-                        ok = False  # upward heredity (eq1 and eq2)
-                    if principle == "eq2" and same_v and not same_w:
-                        ok = False
-                    if not ok:
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if ok:
-            yield family
+    for eq in _congruent(frame, valuation,
+                         *_equalities(frame, domains, principle)):
+        yield eq.classes
 
 
 def enumerate_models(frame: Frame, letter_arities: dict, domain_bound: int,
@@ -332,24 +383,31 @@ def enumerate_models(frame: Frame, letter_arities: dict, domain_bound: int,
 
     Only the given letters are interpreted; others cannot affect
     evaluation.  In intuitionistic mode valuations are hereditary.
+    The models share their ``domains``, ``valuation`` and ``Equality``
+    objects with each other, so they are read-only.
     """
     hereditary = mode == "int"
     for domains in _domain_assignments(frame, domain_bound, constant_domains):
+        partitions, options = _equalities(frame, domains, eq_principle)
+        # Identity partitions are congruent with every valuation.
+        identities = [eq for _, eq in options] if eq_principle == "eq3" else None
         families = _valuation_families(frame, domains, letter_arities, hereditary)
         names = [name for name, _ in families]
-        for combo in product(*(options for _, options in families)):
+        for combo in product(*(choices for _, choices in families)):
             valuation = {
                 w: {name: family[w] for name, family in zip(names, combo)}
                 for w in frame.worlds
             }
-            for eq_family in _eq_families(frame, domains, valuation, eq_principle):
+            fitting = identities if identities is not None else \
+                _congruent(frame, valuation, partitions, options)
+            for equality in fitting:
                 if counter is not None:
                     counter.tick()
                 yield Model(
                     frame=frame,
                     domains=domains,
                     valuation=valuation,
-                    equality=Equality(eq_principle, eq_family),
+                    equality=equality,
                     mode=mode,
                     constant_domains=constant_domains,
                 )
@@ -410,7 +468,11 @@ def sat_bounded(f: Formula, cls: FrameClass, world_bound: int, domain_bound: int
                 mode: str = "modal", eq_principle: str = "eq3",
                 constant_domains: bool = False,
                 max_steps: int | None = None) -> Verdict:
-    """Search for a model and point satisfying f within the bounds."""
+    """Search for a model and point satisfying f within the bounds.
+
+    Frames are visited up to isomorphism; the witness is the first one
+    in the order of enumerate_frames.
+    """
     if world_bound < 1 or domain_bound < 1:
         raise ValueError("bounds must be >= 1")
     if mode == "int":
@@ -423,7 +485,7 @@ def sat_bounded(f: Formula, cls: FrameClass, world_bound: int, domain_bound: int
     compiled = compile_formula(f, mode)
 
     def candidates():
-        for frame in enumerate_frames(world_bound, cls):
+        for frame in enumerate_frames_up_to_iso(world_bound, cls):
             yield from enumerate_models(frame, letter_arities, domain_bound,
                                         mode, eq_principle, constant_domains,
                                         counter)
@@ -566,7 +628,7 @@ def eq_separation_search(world_bound: int = 3, domain_bound: int = 2,
     parsed = [(mode, parse(text)) for mode, text in candidates]
     found_32 = None
     found_21 = None
-    for fr in enumerate_frames(world_bound, FrameClass()):
+    for fr in enumerate_frames_up_to_iso(world_bound):
         preorder = frame_matches(
             fr, FrameClass(frozenset({"reflexive", "transitive"})))
         for mode, f in parsed:

@@ -37,6 +37,9 @@ def _ind_key(a):
     return str(a)
 
 
+_NO_BLOCKS: dict = {}
+
+
 @dataclass(frozen=True)
 class Frame:
     worlds: tuple[str, ...]
@@ -55,10 +58,21 @@ class Frame:
         return self.succ.get(w, ())
 
 
-@dataclass
+@dataclass(frozen=True)
 class Equality:
     principle: str
     classes: dict[str, tuple[frozenset, ...]]  # world -> partition of D(w)
+    # world -> individual -> its block, built once; models that share this
+    # Equality share the maps.
+    blocks: dict[str, dict] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "blocks", {
+            w: block_map(part) for w, part in self.classes.items()})
+
+    def related(self, w: str, a, b) -> bool:
+        blocks = self.blocks.get(w, _NO_BLOCKS)
+        return a == b or (a in blocks and blocks.get(a) is blocks.get(b))
 
 
 @dataclass(frozen=True)
@@ -87,18 +101,12 @@ class Model:
     equality: Equality
     mode: str = "modal"
     constant_domains: bool = False
-    _blocks: dict = field(default_factory=dict, repr=False, compare=False)
-
-    def __post_init__(self):
-        self._blocks = {w: block_map(part)
-                        for w, part in self.equality.classes.items()}
 
     def domain(self, w: str) -> tuple:
         return self.domains[w]
 
     def related(self, w: str, a, b) -> bool:
-        blocks = self._blocks.get(w, {})
-        return a == b or (a in blocks and blocks.get(a) is blocks.get(b))
+        return self.equality.related(w, a, b)
 
 
 def partition_congruent(partition, valuation_at_w) -> tuple | None:
@@ -115,6 +123,35 @@ def partition_congruent(partition, valuation_at_w) -> tuple | None:
                 if variant not in tuples:
                     return (letter, tup, variant)
     return None
+
+
+UPWARD = "Eq1 upward heredity"
+DOWNWARD = "Eq2 downward heredity"
+
+
+def heredity_violations(frame: Frame, domains: dict, equality: Equality):
+    """Yield (w, v, a, b, rule) for every edge w -> v and pair a < b of
+    D(w) that breaks a heredity rule of the equality's principle: UPWARD
+    (eq1 and eq2: a ε b at w but not at v) or DOWNWARD (eq2 only: a ε b
+    at v but not at w).  Edges to worlds without classes are skipped."""
+    principle = equality.principle
+    if principle not in ("eq1", "eq2"):
+        return
+    classes = equality.classes
+    for (w, v) in sorted(frame.access):
+        if w not in classes or v not in classes:
+            continue
+        dom_w = domains[w]
+        for a in dom_w:
+            for b in dom_w:
+                if _ind_key(a) >= _ind_key(b):
+                    continue
+                same_w = equality.related(w, a, b)
+                same_v = equality.related(v, a, b)
+                if same_w and not same_v:
+                    yield w, v, a, b, UPWARD
+                if principle == "eq2" and same_v and not same_w:
+                    yield w, v, a, b, DOWNWARD
 
 
 def validate_model(m: Model) -> list[Violation]:
@@ -200,25 +237,11 @@ def validate_model(m: Model) -> list[Violation]:
                 "congruence",
                 f"at {w}: {letter}{tup} holds but ε-variant {variant} does not"))
 
+    for w, v, a, b, rule in heredity_violations(m.frame, m.domains, m.equality):
+        out.append(Violation(rule, (
+            f"{a} ε {b} at {w} but not at successor {v}" if rule == UPWARD
+            else f"{a} ε {b} at successor {v} but not at {w}")))
     principle = m.equality.principle
-    for (w, v) in sorted(m.frame.access):
-        if w not in m.equality.classes or v not in m.equality.classes:
-            continue
-        dom_w = m.domains[w]
-        for a in dom_w:
-            for b in dom_w:
-                if _ind_key(a) >= _ind_key(b):
-                    continue
-                if principle in ("eq1", "eq2"):
-                    if m.related(w, a, b) and not m.related(v, a, b):
-                        out.append(Violation(
-                            "Eq1 upward heredity",
-                            f"{a} ε {b} at {w} but not at successor {v}"))
-                if principle == "eq2":
-                    if m.related(v, a, b) and not m.related(w, a, b):
-                        out.append(Violation(
-                            "Eq2 downward heredity",
-                            f"{a} ε {b} at successor {v} but not at {w}"))
     if principle == "eq3":
         for w in worlds:
             if w not in m.equality.classes:
@@ -305,7 +328,7 @@ def _compile(f: Formula, modal: bool, slots: dict, used: list):
         i, j = slots[f.left], slots[f.right]
 
         def ev(m, w, env):
-            return m.related(w, env[i], env[j])
+            return m.equality.related(w, env[i], env[j])
         return ev
     if isinstance(f, Verum):
         return lambda m, w, env: True

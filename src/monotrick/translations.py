@@ -231,11 +231,12 @@ def build_companion_model(m: ClassicalStructure, variant: Variant,
                 valuation[w] = {names.q: frozenset({(key[0],), (key[1],)})}
 
     frame = Frame(tuple(worlds), frozenset((u, v) for u in worlds for v in worlds))
+    identity = identity_partition(domain)
     model = Model(
         frame=frame,
         domains={w: domain for w in worlds},
         valuation=valuation,
-        equality=Equality("eq3", {w: identity_partition(domain) for w in worlds}),
+        equality=Equality("eq3", {w: identity for w in worlds}),
         mode="modal",
         constant_domains=True,
     )

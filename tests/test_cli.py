@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from monotrick import cli
 from monotrick.cli import main
 from monotrick.semantics import model_to_dict
 from monotrick.translations import ClassicalStructure, Variant, build_companion_model
@@ -228,6 +229,27 @@ def test_deep_formula_exit_2(capsys, text):
     code, _, err = run(capsys, "parse", text)
     _assert_usage_error(code, err)
     assert "nests deeper" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("sat", "--domain", "2", "p"),                       # missing --worlds
+    ("sat", "--worlds", "1", "--domain", "1", "--bogus", "p"),
+])
+def test_malformed_arguments_one_line_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as info:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    _assert_usage_error(info.value.code, captured.err)
+
+
+def test_unexpected_exception_exit_4(capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("boom")
+    monkeypatch.setattr(cli, "_cmd_parse", broken)
+    code, out, err = run(capsys, "parse", "p")
+    assert code == cli.EXIT_INTERNAL == 4
+    assert out == "" and err == "internal error: RuntimeError: boom\n"
 
 
 def test_missing_model_file(capsys):

@@ -1,0 +1,147 @@
+"""Differential tests for the two search shortcuts: frames searched once
+per isomorphism class, and equality relations built once per domain
+assignment.  Each is compared with a naive test-side reference."""
+
+import json
+from collections import Counter
+from itertools import product
+
+import pytest
+
+from monotrick import search
+from monotrick.search import (
+    FrameClass, Verdict, _set_partitions, enumerate_frames,
+    enumerate_frames_up_to_iso, enumerate_models, eq_separation_search,
+    frame_matches, parse_frame_class, sat_bounded,
+)
+from monotrick.semantics import (
+    Equality, Model, evaluate, model_to_dict, validate_model,
+)
+from monotrick.syntax import free_variables, letters, parse
+
+CLASSES = ("", "reflexive", "serial", "symmetric", "transitive",
+           "reflexive,transitive")
+PREORDERS = FrameClass(frozenset({"reflexive", "transitive"}))
+PRINCIPLES = ("eq1", "eq2", "eq3")
+
+# (mode, formula, domain bound, principles).  Under those principles the
+# modal formulas first hold on three worlds in most classes (the second
+# one nowhere on symmetric frames, whose domains are constant on three
+# worlds); the third needs eq1, which lets x = y start after an edge.
+# Intuitionistic truth persists upwards, so a satisfiable formula holds on
+# one world; the second one is unsatisfiable, so its search is exhaustive.
+SAT_CASES = [
+    (mode, text, domain, eq)
+    for mode, text, domain, principles in (
+        ("modal", "p & ~q & <>(q & ~p) & <>(~p & ~q)", 1, PRINCIPLES),
+        ("modal", "exists x (p & <>(~p & exists z ~(z = x)) & "
+                  "<>(~p & forall z (z = x)))", 2, PRINCIPLES),
+        ("modal", "exists x exists y (p & ~(x = y) & <>(x = y) & "
+                  "<>(~p & ~(x = y)))", 2, ("eq1",)),
+        ("int", "exists x ~Q(x) & ~~exists y Q(y)", 2, PRINCIPLES),
+        ("int", "~((x = y) | ~(x = y))", 2, PRINCIPLES),
+    )
+    for eq in principles
+]
+
+
+def reference_sat(f, cls, world_bound, domain_bound, mode, eq_principle):
+    """sat_bounded over every labelled frame, checking points through the
+    checked evaluate()."""
+    if mode == "int":
+        cls = cls.with_properties("reflexive", "transitive")
+    bounds = {"world_bound": world_bound, "domain_bound": domain_bound,
+              "mode": mode, "eq_principle": eq_principle,
+              "constant_domains": False}
+    free = sorted(free_variables(f))
+    for fr in enumerate_frames(world_bound, cls):
+        for m in enumerate_models(fr, letters(f), domain_bound, mode,
+                                  eq_principle):
+            for w in fr.worlds:
+                for values in product(m.domains[w], repeat=len(free)):
+                    sigma = dict(zip(free, values))
+                    if evaluate(m, w, sigma, f):
+                        return Verdict("satisfiable", bounds, model=m,
+                                       world=w, assignment=sigma).to_json()
+    return Verdict("unsatisfiable_up_to_bound", bounds).to_json()
+
+
+@pytest.mark.parametrize("mode,text,domain,eq_principle", SAT_CASES)
+def test_sat_matches_unpruned_reference(mode, text, domain, eq_principle):
+    f = parse(text)
+    for cls_text in CLASSES:
+        cls = parse_frame_class(cls_text)
+        got = sat_bounded(f, cls, 3, domain, mode, eq_principle).to_json()
+        assert got == reference_sat(f, cls, 3, domain, mode, eq_principle), \
+            cls_text
+
+
+def test_separation_matches_unpruned_search(monkeypatch):
+    pruned = eq_separation_search(3, 2).to_dict()
+    monkeypatch.setattr(search, "enumerate_frames_up_to_iso",
+                        lambda world_bound, cls=FrameClass():
+                        enumerate_frames(world_bound, cls))
+    assert json.dumps(pruned, sort_keys=True) == \
+        json.dumps(eq_separation_search(3, 2).to_dict(), sort_keys=True)
+
+
+def test_frames_up_to_iso_counts():
+    # Digraphs with loops up to isomorphism: OEIS A000595.
+    per_size = Counter(len(fr.worlds) for fr in enumerate_frames_up_to_iso(3))
+    assert per_size == {1: 2, 2: 10, 3: 104}
+    # Preorders up to isomorphism: 1 + 3 + 9.
+    assert sum(1 for _ in enumerate_frames_up_to_iso(3, PREORDERS)) == 13
+
+
+def test_frames_up_to_iso_keep_enumeration_order():
+    cls = parse_frame_class("serial")
+    full = list(enumerate_frames(3, cls))
+    kept = list(enumerate_frames_up_to_iso(3, cls))
+    positions = [full.index(fr) for fr in kept]
+    assert positions == sorted(positions)
+    assert all(frame_matches(fr, cls) for fr in kept)
+
+
+def _subsets(items):
+    items = sorted(items)
+    return [frozenset(t for i, t in enumerate(items) if mask >> i & 1)
+            for mask in range(1 << len(items))]
+
+
+def naive_models(fr, letter_arities, domain_bound, mode, eq_principle):
+    """Every domain assignment, valuation and per-world partition, in the
+    enumeration order, kept when validate_model finds nothing wrong."""
+    pool = tuple(f"a{i}" for i in range(domain_bound))
+    names = sorted(letter_arities)
+    out = []
+    for sizes in product(range(1, domain_bound + 1), repeat=len(fr.worlds)):
+        domains = {w: pool[:s] for w, s in zip(fr.worlds, sizes)}
+        per_letter = [
+            list(product(*(_subsets(product(domains[w],
+                                            repeat=letter_arities[name]))
+                           for w in fr.worlds)))
+            for name in names]
+        partitions = [list(_set_partitions(domains[w])) for w in fr.worlds]
+        for combo in product(*per_letter):
+            valuation = {w: {name: combo[k][i] for k, name in enumerate(names)}
+                         for i, w in enumerate(fr.worlds)}
+            for parts in product(*partitions):
+                m = Model(fr, domains, valuation,
+                          Equality(eq_principle, dict(zip(fr.worlds, parts))),
+                          mode)
+                if validate_model(m) == []:
+                    out.append(model_to_dict(m))
+    return out
+
+
+@pytest.mark.parametrize("eq_principle", PRINCIPLES)
+@pytest.mark.parametrize("mode", ("modal", "int"))
+def test_enumerate_models_matches_naive_enumeration(mode, eq_principle):
+    arities = {"Q": 1, "p": 0}
+    for fr in enumerate_frames(2):
+        if mode == "int" and not frame_matches(fr, PREORDERS):
+            continue
+        got = [model_to_dict(m)
+               for m in enumerate_models(fr, arities, 2, mode, eq_principle)]
+        assert got == naive_models(fr, arities, 2, mode, eq_principle), \
+            sorted(fr.access)
