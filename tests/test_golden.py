@@ -73,6 +73,16 @@ QUERIES = {
     "sat-modal-eq2-preorder-three-worlds":
         _sat("exists x (Q(x) & ~p & <>(~Q(x) & ~p) & <>p)", worlds=3,
              cls="reflexive,transitive", eq_principle="eq2"),
+    # Exhaustive searches: contradictions, so every frame up to the bound
+    # is visited.
+    "sat-int-eq1-contradiction-four-worlds":
+        _sat("~((x = y) | ~(x = y))", worlds=4, mode="int",
+             eq_principle="eq1"),
+    "sat-int-eq3-contradiction-four-worlds":
+        _sat("~forall x (Q(x) | ~Q(x)) & forall x (Q(x) | ~Q(x))", worlds=4,
+             mode="int"),
+    "sat-modal-eq3-unsatisfiable-three-worlds":
+        _sat("<>exists x ~Q(x) & []forall x Q(x)", worlds=3),
     "decide-modal-eq3-chain-persistence":
         _decide(CHAIN, "forall x (Q(x) -> []Q(x))"),
     "decide-modal-eq1-chain-distinctness":
