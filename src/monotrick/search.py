@@ -4,10 +4,28 @@ fixed-finite-frame decision procedure.
 
 All enumerations are deterministic: world counts and domain sizes
 ascend, relations and valuations follow lexicographic bit order, and
-witnesses are always the enumeration-order-least.  Searches over frame
-classes visit one frame per isomorphism class, the least labelled one;
-every class property is invariant under renaming worlds, so the first
-frame with a hit is the same as in the full enumeration.
+witnesses are always the enumeration-order-least.
+
+Searches over frame classes (``sat_bounded``, ``eq_separation_search``)
+visit only the frames that can carry the first hit, and find the same
+first hit as a search of every frame:
+
+- One frame per isomorphism class, the least labelled one.  Every class
+  property is invariant under renaming worlds, and the least labelled
+  frame of a class comes first in the full order.
+- Only point-generated frames: some world reaches every world.  Truth at
+  a world depends only on the submodel it generates, every class
+  property and ``alt_n`` passes to generated subframes, and so does
+  validity on a frame.  A hit on a frame that its world does not
+  generate is thus also a hit on a frame with fewer worlds, which comes
+  first.
+- In intuitionistic mode, only the one-world frame.  Truth persists up
+  to a final cluster, whose worlds have equal domains, valuations and
+  equality classes, so the cluster collapses onto one reflexive world.
+
+Under a step cap (``max_steps``) the skipped frames count no models, so
+a capped search can give a definite answer where the full search would
+have run out of steps; it never gives a different one.
 """
 
 from __future__ import annotations
@@ -40,6 +58,8 @@ class StepLimitExceeded(Exception):
 
 class _StepCounter:
     def __init__(self, limit: int | None):
+        if limit is not None and limit < 0:
+            raise ValueError(f"step cap must be >= 0, got {limit}")
         self.limit = limit
         self.steps = 0
 
@@ -171,6 +191,19 @@ def _renamings(n: int) -> list:
     return out
 
 
+def _point_generated(n: int, mask: int) -> bool:
+    """Whether some world reaches every world: the frame is the subframe
+    generated by that world.  Rows are reachability bit masks, closed
+    under composition (Warshall)."""
+    full = (1 << n) - 1
+    reach = [mask >> (n * a) & full | 1 << a for a in range(n)]
+    for k in range(n):
+        for a in range(n):
+            if reach[a] >> k & 1:
+                reach[a] |= reach[k]
+    return full in reach
+
+
 def _least_labelled(n: int, mask: int) -> bool:
     """Whether no renaming of the worlds gives the frame a smaller mask."""
     full = (1 << n) - 1
@@ -189,6 +222,13 @@ def enumerate_frames_up_to_iso(world_bound: int,
     """The frames of enumerate_frames that have the least mask in their
     isomorphism class, in the same order: one frame per class."""
     return _frames(world_bound, cls, _least_labelled)
+
+
+def _generated_frames(world_bound: int, cls: FrameClass = FrameClass()):
+    """The point-generated frames of enumerate_frames_up_to_iso, in the
+    same order: the frames that can carry the first hit of a search."""
+    return _frames(world_bound, cls, lambda n, mask: _point_generated(n, mask)
+                   and _least_labelled(n, mask))
 
 
 # ---------------------------------------------------------------------------
@@ -470,8 +510,11 @@ def sat_bounded(f: Formula, cls: FrameClass, world_bound: int, domain_bound: int
                 max_steps: int | None = None) -> Verdict:
     """Search for a model and point satisfying f within the bounds.
 
-    Frames are visited up to isomorphism; the witness is the first one
-    in the order of enumerate_frames.
+    The witness is the first one in the order of enumerate_frames.  Only
+    the point-generated frames of one isomorphism class each are visited
+    (see the module docstring), and in intuitionistic mode only the
+    one-world frame: a final cluster above the witness world collapses
+    onto it.  The verdict still reports the requested world_bound.
     """
     if world_bound < 1 or domain_bound < 1:
         raise ValueError("bounds must be >= 1")
@@ -485,7 +528,8 @@ def sat_bounded(f: Formula, cls: FrameClass, world_bound: int, domain_bound: int
     compiled = compile_formula(f, mode)
 
     def candidates():
-        for frame in enumerate_frames_up_to_iso(world_bound, cls):
+        for frame in _generated_frames(1 if mode == "int" else world_bound,
+                                       cls):
             yield from enumerate_models(frame, letter_arities, domain_bound,
                                         mode, eq_principle, constant_domains,
                                         counter)
@@ -624,11 +668,16 @@ def eq_separation_search(world_bound: int = 3, domain_bound: int = 2,
     only shrink from eq3 to eq2 to eq1; the search exploits that chain.
     An explicit "not found within bounds" entry is reported for each
     separation the search fails to exhibit.
+
+    Frames are visited as in sat_bounded: point-generated, one per
+    isomorphism class.  Validity on a frame passes to its generated
+    subframes, and a countermodel restricts to the subframe its world
+    generates, so the first separating frame is point-generated.
     """
     parsed = [(mode, parse(text)) for mode, text in candidates]
     found_32 = None
     found_21 = None
-    for fr in enumerate_frames_up_to_iso(world_bound):
+    for fr in _generated_frames(world_bound):
         preorder = frame_matches(
             fr, FrameClass(frozenset({"reflexive", "transitive"})))
         for mode, f in parsed:

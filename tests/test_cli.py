@@ -124,6 +124,26 @@ def test_sat_step_cap_counts_only_checked_models(capsys):
     assert code == 3 and out.splitlines()[0] == "bound_exhausted"
 
 
+@pytest.mark.parametrize("argv", [
+    ("sat", "--worlds", "2", "--domain", "2", "false"),
+    ("separate", "--worlds", "1", "--domain", "1"),
+])
+def test_negative_step_cap_exit_2(capsys, monkeypatch, argv):
+    code, out, err = run(capsys, *argv, "--max-steps", "-1")
+    assert out == ""
+    _assert_usage_error(code, err)
+    monkeypatch.setenv("MONOTRICK_MAX_STEPS", "-1")
+    code, out, err = run(capsys, *argv)
+    assert out == ""
+    _assert_usage_error(code, err)
+
+
+def test_zero_step_cap_exhausts(capsys):
+    code, out, _ = run(capsys, "sat", "--worlds", "1", "--domain", "1",
+                       "--max-steps", "0", "false")
+    assert code == 3 and out.splitlines()[0] == "bound_exhausted"
+
+
 def test_workers_option_is_gone(capsys):
     with pytest.raises(SystemExit) as info:
         main(["sat", "--worlds", "1", "--domain", "1", "--workers", "3", "true"])

@@ -1,14 +1,15 @@
-"""Differential tests for the two search shortcuts: frames searched once
-per isomorphism class, and equality relations built once per domain
-assignment.  Each is compared with a naive test-side reference."""
+"""Differential tests for the search shortcuts: frames searched once per
+isomorphism class and only when point-generated, intuitionistic searches
+on one world, and equality relations built once per domain assignment.
+Each is compared with a naive test-side reference."""
 
 import json
 from collections import Counter
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
-from monotrick import search
+from monotrick import cli, search
 from monotrick.search import (
     FrameClass, Verdict, _set_partitions, enumerate_frames,
     enumerate_frames_up_to_iso, enumerate_models, eq_separation_search,
@@ -83,6 +84,68 @@ def test_separation_matches_unpruned_search(monkeypatch):
                         enumerate_frames(world_bound, cls))
     assert json.dumps(pruned, sort_keys=True) == \
         json.dumps(eq_separation_search(3, 2).to_dict(), sort_keys=True)
+
+
+def test_separation_matches_search_of_every_frame(monkeypatch):
+    pruned = eq_separation_search(3, 2).to_dict()
+    monkeypatch.setattr(search, "_generated_frames", enumerate_frames)
+    assert json.dumps(pruned, sort_keys=True) == \
+        json.dumps(eq_separation_search(3, 2).to_dict(), sort_keys=True)
+
+
+def test_generated_frames_counts():
+    per_size = Counter(len(fr.worlds) for fr in search._generated_frames(3))
+    assert per_size == {1: 2, 2: 7, 3: 80}
+    per_size = Counter(len(fr.worlds)
+                       for fr in search._generated_frames(3, PREORDERS))
+    assert per_size == {1: 1, 2: 2, 3: 5}
+
+
+def _mask(fr, rename):
+    index = {w: i for i, w in enumerate(fr.worlds)}
+    n = len(fr.worlds)
+    return sum(1 << (n * rename[index[a]] + rename[index[b]])
+               for a, b in fr.access)
+
+
+def _reachable(fr, w):
+    seen, todo = {w}, [w]
+    while todo:
+        for v in fr.successors(todo.pop()):
+            if v not in seen:
+                seen.add(v)
+                todo.append(v)
+    return seen
+
+
+def test_generated_frames_match_brute_force():
+    """Least labelled (no renaming of the worlds lowers the mask) and
+    generated by one of its worlds, in the order of enumerate_frames."""
+    want = [
+        fr for fr in enumerate_frames(3)
+        if all(_mask(fr, range(len(fr.worlds))) <= _mask(fr, p)
+               for p in permutations(range(len(fr.worlds))))
+        and any(_reachable(fr, w) == set(fr.worlds) for w in fr.worlds)
+    ]
+    assert list(search._generated_frames(3)) == want
+
+
+@pytest.mark.parametrize("eq", PRINCIPLES)
+def test_int_sat_searches_one_world(capsys, eq):
+    """An intuitionistic contradiction at 6 worlds is answered as fast and
+    with the same verdict as at 1 world; only world_bound differs."""
+    def sat(worlds):
+        code = cli.main(["sat", "--json", "--mode", "int", "--eq", eq,
+                         "--worlds", str(worlds), "--domain", "2",
+                         "~((x = y) | ~(x = y)) & exists x ~~Q(x)"])
+        return code, json.loads(capsys.readouterr().out)
+
+    code6, six = sat(6)
+    code1, one = sat(1)
+    assert code6 == code1 == 1
+    assert six["bounds_used"].pop("world_bound") == 6
+    assert one["bounds_used"].pop("world_bound") == 1
+    assert six == one
 
 
 def test_frames_up_to_iso_counts():

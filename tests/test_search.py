@@ -132,6 +132,10 @@ class TestSatBounded:
         verdict = sat_bounded(parse("false"), FrameClass(), 3, 2, max_steps=5)
         assert verdict.outcome == "bound_exhausted"
 
+    def test_negative_step_cap_rejected(self):
+        with pytest.raises(ValueError, match="step cap"):
+            sat_bounded(parse("false"), FrameClass(), 1, 1, max_steps=-1)
+
     def test_monotone_in_bounds(self):
         f = parse("exists x exists y (<>(Q1(x) & Q2(y)) & ~(x = y))")
         small = sat_bounded(f, FrameClass(), 2, 2)
