@@ -227,8 +227,8 @@ def enumerate_frames_up_to_iso(world_bound: int,
 def _generated_frames(world_bound: int, cls: FrameClass = FrameClass()):
     """The point-generated frames of enumerate_frames_up_to_iso, in the
     same order: the frames that can carry the first hit of a search."""
-    return _frames(world_bound, cls, lambda n, mask: _point_generated(n, mask)
-                   and _least_labelled(n, mask))
+    return _frames(world_bound, cls, lambda n, mask: _least_labelled(n, mask)
+                   and _point_generated(n, mask))
 
 
 # ---------------------------------------------------------------------------
