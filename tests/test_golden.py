@@ -22,6 +22,10 @@ CHAIN = Frame(("w0", "w1"), frozenset({("w0", "w1")}))
 PREORDER_CHAIN = Frame(("w0", "w1"),
                        frozenset({("w0", "w0"), ("w0", "w1"), ("w1", "w1")}))
 REFLEXIVE_POINT = Frame(("w0",), frozenset({("w0", "w0")}))
+CHAIN3 = Frame(("w0", "w1", "w2"), frozenset({("w0", "w1"), ("w1", "w2")}))
+PREORDER3 = Frame(("w0", "w1", "w2"), frozenset({
+    ("w0", "w0"), ("w0", "w1"), ("w0", "w2"), ("w1", "w1"), ("w1", "w2"),
+    ("w2", "w2")}))
 
 
 def _sat(text, worlds=2, domain=2, cls="", **kwargs):
@@ -103,6 +107,47 @@ QUERIES = {
     "decide-modal-eq3-non-monadic":
         _decide(REFLEXIVE_POINT, "forall x forall y (P(x,y) -> P(x,y))",
                 domain=1),
+    # First countermodels and witnesses with two or more individuals
+    # present in exactly the same worlds, so that renaming them gives
+    # another model of the same domain assignment.  "[][]false" holds on
+    # the chain's last two worlds, so those countermodels lie at w0.
+    "decide-modal-eq3-chain3-domain3-same-layer":
+        _decide(CHAIN3, "[][]false | forall x forall y (Q(x) <-> Q(y))",
+                domain=3),
+    "decide-modal-eq1-chain3-domain3-same-layer":
+        _decide(CHAIN3, "[][]false | (~(x = y) -> []~(x = y))", domain=3,
+                eq_principle="eq1"),
+    "decide-modal-eq2-chain3-domain3-same-layer":
+        _decide(CHAIN3, "[][]false | forall x forall y (x = y | Q(x) | Q(y))",
+                domain=3, eq_principle="eq2"),
+    "decide-modal-eq2-chain3-domain3-leibniz":
+        _decide(CHAIN3, "x = y -> (<>Q(x) <-> <>Q(y))", domain=3,
+                eq_principle="eq2"),
+    "decide-modal-eq3-preorder3-constant-domains":
+        _decide(PREORDER3, "forall x <>Q(x) -> <>forall x Q(x)", domain=3,
+                constant_domains=True),
+    "decide-int-eq3-preorder3-three-individuals":
+        _decide(PREORDER3, "exists x exists y exists z (~(x = y) & ~(y = z) & "
+                "~(x = z)) -> forall x (Q(x) | ~Q(x))", domain=3, mode="int"),
+    "decide-int-eq1-preorder3-two-individuals":
+        _decide(PREORDER3, "exists x exists y ~(x = y) -> (x = y | ~(x = y))",
+                domain=3, mode="int", eq_principle="eq1"),
+    "decide-int-eq2-preorder3-three-individuals":
+        _decide(PREORDER3, "exists x exists y exists z (~(x = y) & ~(y = z) & "
+                "~(x = z)) -> forall x (Q(x) | ~Q(x))", domain=3, mode="int",
+                eq_principle="eq2"),
+    "sat-modal-eq1-constant-domains-merge-later":
+        _sat("exists x exists y (~(x = y) & Q(x) & ~Q(y) & <>(x = y))",
+             constant_domains=True, eq_principle="eq1"),
+    "sat-modal-eq2-constant-domains-swap":
+        _sat("exists x exists y (Q(x) & ~Q(y) & <>(Q(y) & ~Q(x)))",
+             constant_domains=True, eq_principle="eq2"),
+    "sat-modal-eq3-three-individuals-domain3":
+        _sat("exists x exists y exists z (~(x = y) & ~(y = z) & ~(x = z) & "
+             "Q(x) & ~Q(y) & <>(Q(y) & ~Q(z)))", domain=3),
+    "sat-int-eq2-two-individuals-domain3":
+        _sat("exists x exists y (~(x = y) & Q(x) & ~Q(y))", domain=3,
+             mode="int", eq_principle="eq2"),
     "separate-2-2": _separate(2, 2),
     "separate-3-2": _separate(3, 2),
 }
