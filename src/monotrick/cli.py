@@ -224,87 +224,96 @@ def _cmd_separate(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
+# name -> (help, arguments beyond --json and --max-steps); each argument
+# is (flags, keyword arguments of add_argument).
+_COMMANDS = {
+    "parse": ("parse a formula and pretty-print it", [(("formula",), {})]),
+    "classify": ("fragment report for a formula", [(("formula",), {})]),
+    "translate": ("apply a Kripke-trick variant", [
+        (("--variant",), {"required": True,
+                          "choices": [v.value for v in Variant]}),
+        (("--positivize",), {"action": "store_true", "help":
+                             "replace negations by implications to a fresh "
+                             "letter first"}),
+        (("formula",), {}),
+    ]),
+    "validate": ("check model-file invariants",
+                 [(("--model",), {"required": True})]),
+    "eval": ("evaluate a formula at a world", [
+        (("--model",), {"required": True}),
+        (("--world",), {"required": True}),
+        (("--assign",), {"default": "", "help": "e.g. x=a,y=b"}),
+        (("formula",), {}),
+    ]),
+    "check": ("validity of a formula in a model", [
+        (("--model",), {"required": True}),
+        (("formula",), {}),
+    ]),
+    "sat": ("bounded satisfiability over a frame class", [
+        (("--mode",), {"choices": ("modal", "int"), "default": "modal"}),
+        (("--class",), {"dest": "frame_class", "default": "", "help":
+                        "comma-separated frame properties, e.g. "
+                        "reflexive,alt_2"}),
+        (("--worlds",), {"type": int, "required": True}),
+        (("--domain",), {"type": int, "required": True}),
+        (("--eq",), {"choices": ("eq1", "eq2", "eq3"), "default": "eq3"}),
+        (("--constant",), {"action": "store_true"}),
+        (("formula",), {}),
+    ]),
+    "decide": ("validity over a fixed finite frame", [
+        (("--frame",), {"required": True}),
+        (("--domain",), {"type": int, "default": None}),
+        (("--mode",), {"choices": ("modal", "int"), "default": "modal"}),
+        (("--eq",), {"choices": ("eq1", "eq2", "eq3"), "default": "eq3"}),
+        (("--constant",), {"action": "store_true"}),
+        (("formula",), {}),
+    ]),
+    "frame-props": ("frame property report",
+                    [(("--frame",), {"required": True})]),
+    "experiment": ("translation-faithfulness experiment over a corpus file", [
+        (("--variant",), {"required": True, "choices": (
+            Variant.DIAMOND2.value, Variant.NEG_DIAMOND1.value)}),
+        (("--size",), {"type": int, "required": True}),
+        (("corpus",), {}),
+    ]),
+    "separate": ("search small frames for equality-principle separations", [
+        (("--worlds",), {"type": int, "default": 3}),
+        (("--domain",), {"type": int, "default": 2}),
+    ]),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The command-line parser.  Given a command name, only that
+    command's subparser is built: one call parses one command line, and
+    building all of them costs more than the parse."""
     parser = _ArgumentParser(
         prog="monotrick",
         description="Kripke-trick translations, Kripke semantics with "
                     "equality principles, and bounded finite-model search.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, func, **kwargs):
-        p = sub.add_parser(name, **kwargs)
-        p.set_defaults(func=func)
+    for name, (help_text, arguments) in _COMMANDS.items():
+        if command not in (None, name):
+            continue
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--json", action="store_true", help="emit JSON output")
         p.add_argument("--max-steps", type=int, default=None,
                        help="enumeration step cap (default: MONOTRICK_MAX_STEPS)")
-        return p
-
-    p = add("parse", _cmd_parse, help="parse a formula and pretty-print it")
-    p.add_argument("formula")
-
-    p = add("classify", _cmd_classify, help="fragment report for a formula")
-    p.add_argument("formula")
-
-    p = add("translate", _cmd_translate, help="apply a Kripke-trick variant")
-    p.add_argument("--variant", required=True, choices=[v.value for v in Variant])
-    p.add_argument("--positivize", action="store_true",
-                   help="replace negations by implications to a fresh letter first")
-    p.add_argument("formula")
-
-    p = add("validate", _cmd_validate, help="check model-file invariants")
-    p.add_argument("--model", required=True)
-
-    p = add("eval", _cmd_eval, help="evaluate a formula at a world")
-    p.add_argument("--model", required=True)
-    p.add_argument("--world", required=True)
-    p.add_argument("--assign", default="", help="e.g. x=a,y=b")
-    p.add_argument("formula")
-
-    p = add("check", _cmd_check, help="validity of a formula in a model")
-    p.add_argument("--model", required=True)
-    p.add_argument("formula")
-
-    p = add("sat", _cmd_sat, help="bounded satisfiability over a frame class")
-    p.add_argument("--mode", choices=("modal", "int"), default="modal")
-    p.add_argument("--class", dest="frame_class", default="",
-                   help="comma-separated frame properties, e.g. reflexive,alt_2")
-    p.add_argument("--worlds", type=int, required=True)
-    p.add_argument("--domain", type=int, required=True)
-    p.add_argument("--eq", choices=("eq1", "eq2", "eq3"), default="eq3")
-    p.add_argument("--constant", action="store_true")
-    p.add_argument("formula")
-
-    p = add("decide", _cmd_decide, help="validity over a fixed finite frame")
-    p.add_argument("--frame", required=True)
-    p.add_argument("--domain", type=int, default=None)
-    p.add_argument("--mode", choices=("modal", "int"), default="modal")
-    p.add_argument("--eq", choices=("eq1", "eq2", "eq3"), default="eq3")
-    p.add_argument("--constant", action="store_true")
-    p.add_argument("formula")
-
-    p = add("frame-props", _cmd_frame_props, help="frame property report")
-    p.add_argument("--frame", required=True)
-
-    p = add("experiment", _cmd_experiment,
-            help="translation-faithfulness experiment over a corpus file")
-    p.add_argument("--variant", required=True,
-                   choices=(Variant.DIAMOND2.value, Variant.NEG_DIAMOND1.value))
-    p.add_argument("--size", type=int, required=True)
-    p.add_argument("corpus")
-
-    p = add("separate", _cmd_separate,
-            help="search small frames for equality-principle separations")
-    p.add_argument("--worlds", type=int, default=3)
-    p.add_argument("--domain", type=int, default=2)
-
+        for flags, kwargs in arguments:
+            p.add_argument(*flags, **kwargs)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # Anything but a known command first (help, a typo, nothing) gets the
+    # whole parser, which lists every command.
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = build_parser(command).parse_args(argv)
+    # Looked up per call, so that the command functions can be replaced.
+    func = globals()["_cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return func(args)
     except (ParseError, UsageError, ValueError, OSError,
             json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

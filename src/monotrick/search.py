@@ -23,9 +23,21 @@ first hit as a search of every frame:
   to a final cluster, whose worlds have equal domains, valuations and
   equality classes, so the cluster collapses onto one reflexive world.
 
-Under a step cap (``max_steps``) the skipped frames count no models, so
-a capped search can give a definite answer where the full search would
-have run out of steps; it never gives a different one.
+Both those searches and ``decide_valid_over_frame`` check models once
+per renaming of individuals:
+
+- Individuals.  A domain layer is a run of the pool a0, a1, ... present
+  in exactly the same worlds.  A model is skipped when swapping two
+  adjacent individuals of one layer gives a model that comes earlier:
+  a smaller tuple of per-letter extension indices, or the same tuple and
+  an earlier equality (lex-leader symmetry breaking).  A swap keeps the
+  domains, the heredity of valuations and equalities, congruence and
+  truth, so the renamed model is a hit exactly when the skipped one is.
+  The first hit thus has no earlier renaming and is never skipped.
+
+Under a step cap (``max_steps``) the skipped frames and models count no
+steps, so a capped search can give a definite answer where the full
+search would have run out of steps; it never gives a different one.
 """
 
 from __future__ import annotations
@@ -395,12 +407,15 @@ def _equalities(frame: Frame, domains: dict, principle: str):
 
 def _congruent(frame: Frame, valuation: dict, partitions: list,
                options: list) -> list:
-    """The Equality of each option of _equalities whose partition at every
-    world is congruent with the valuation, in the options' order."""
-    ok = [[partition_congruent(part, valuation.get(w, {})) is None
+    """(index, Equality) of each option of _equalities whose partition at
+    every world is congruent with the valuation, in the options' order.
+    A partition into singletons is congruent with every valuation, so
+    only the partitions with a larger block are tested."""
+    ok = [[max(map(len, part)) == 1
+           or partition_congruent(part, valuation.get(w, {})) is None
            for part in parts]
           for w, parts in zip(frame.worlds, partitions)]
-    return [eq for combo, eq in options
+    return [(j, eq) for j, (combo, eq) in enumerate(options)
             if all(row[i] for row, i in zip(ok, combo))]
 
 
@@ -411,46 +426,133 @@ def _eq_families(frame: Frame, domains: dict, valuation: dict, principle: str):
     Principle "any" applies only the congruence filter, yielding every
     congruent family regardless of cross-world heredity.
     """
-    for eq in _congruent(frame, valuation,
-                         *_equalities(frame, domains, principle)):
+    for _, eq in _congruent(frame, valuation,
+                            *_equalities(frame, domains, principle)):
         yield eq.classes
 
 
-def enumerate_models(frame: Frame, letter_arities: dict, domain_bound: int,
-                     mode: str, eq_principle: str, constant_domains: bool = False,
-                     counter: _StepCounter | None = None):
-    """Yield every model on the frame within the domain bound.
+def _layer_swaps(domains: dict) -> list:
+    """The pairs (a_i, a_i+1) of the pool that lie in one domain layer:
+    present in exactly the same worlds, i.e. no world has i+1 of them."""
+    sizes = {len(dom) for dom in domains.values()}
+    pool = max(domains.values(), key=len)
+    return [(pool[i], pool[i + 1]) for i in range(len(pool) - 1)
+            if i + 1 not in sizes]
 
-    Only the given letters are interpreted; others cannot affect
-    evaluation.  In intuitionistic mode valuations are hereditary.
-    The models share their ``domains``, ``valuation`` and ``Equality``
-    objects with each other, so they are read-only.
-    """
+
+def _renamed_indices(keys: list, swaps: list, rename) -> list:
+    """For each swap (a, b), the table from i to the index in keys of
+    rename(keys[i], {a: b, b: a})."""
+    where = {key: i for i, key in enumerate(keys)}
+    return [[where[rename(key, {a: b, b: a})] for key in keys]
+            for a, b in swaps]
+
+
+@cache
+def _valuation_renamings(frame: Frame, doms: tuple, arity: int) -> list:
+    """Per layer swap of the domain assignment doms (one domain per world),
+    the table from the index of a letter's hereditary option in
+    _valuation_families to the index of the option with the two
+    individuals swapped.  On a frame without edges every option is
+    hereditary."""
+    domains = dict(zip(frame.worlds, doms))
+    [(_, options)] = _valuation_families(frame, domains, {"": arity}, True)
+    return _renamed_indices(
+        [tuple(option[w] for w in frame.worlds) for option in options],
+        _layer_swaps(domains),
+        lambda key, swap: tuple(
+            frozenset(tuple(swap.get(a, a) for a in tup) for tup in ext)
+            for ext in key))
+
+
+@cache
+def _equality_renamings(frame: Frame, doms: tuple, principle: str) -> list:
+    """As _valuation_renamings, for the options of _equalities."""
+    domains = dict(zip(frame.worlds, doms))
+    _, options = _equalities(frame, domains, principle)
+    return _renamed_indices(
+        [tuple(frozenset(eq.classes[w]) for w in frame.worlds)
+         for _, eq in options],
+        _layer_swaps(domains),
+        lambda key, swap: tuple(
+            frozenset(frozenset(swap.get(a, a) for a in block)
+                      for block in part)
+            for part in key))
+
+
+def _models(frame: Frame, letter_arities: dict, domain_bound: int, mode: str,
+            eq_principle: str, constant_domains: bool,
+            counter: _StepCounter | None, leaders_only: bool):
+    """The models of enumerate_models, in its order.  With leaders_only,
+    skip each model that swapping two adjacent individuals of one domain
+    layer turns into a model that comes earlier (see the module
+    docstring); every step counted is a model yielded."""
     hereditary = mode == "int"
     for domains in _domain_assignments(frame, domain_bound, constant_domains):
         partitions, options = _equalities(frame, domains, eq_principle)
         # Identity partitions are congruent with every valuation.
-        identities = [eq for _, eq in options] if eq_principle == "eq3" else None
+        identities = list(enumerate(eq for _, eq in options)) \
+            if eq_principle == "eq3" else None
         families = _valuation_families(frame, domains, letter_arities, hereditary)
         names = [name for name, _ in families]
-        for combo in product(*(choices for _, choices in families)):
-            valuation = {
-                w: {name: family[w] for name, family in zip(names, combo)}
-                for w in frame.worlds
-            }
-            fitting = identities if identities is not None else \
-                _congruent(frame, valuation, partitions, options)
-            for equality in fitting:
-                if counter is not None:
-                    counter.tick()
-                yield Model(
-                    frame=frame,
-                    domains=domains,
-                    valuation=valuation,
-                    equality=equality,
-                    mode=mode,
-                    constant_domains=constant_domains,
-                )
+        choices = [opts for _, opts in families]
+        renamings = []
+        if leaders_only and _layer_swaps(domains):
+            doms = tuple(domains[w] for w in frame.worlds)
+            # Options that do not depend on the edges get their tables on
+            # the frame without edges, which frames with these worlds share.
+            bare = Frame(frame.worlds, frozenset())
+            per_letter = [_valuation_renamings(frame if hereditary else bare,
+                                               doms, letter_arities[name])
+                          for name in names]
+            eq_tables = _equality_renamings(
+                bare if eq_principle == "eq3" else frame, doms, eq_principle)
+            renamings = [([tables[k] for tables in per_letter], eq_table)
+                         for k, eq_table in enumerate(eq_tables)]
+        for index in product(*(range(len(c)) for c in choices)):
+            # The equality tables of the swaps that fix the valuation.
+            ties = []
+            for tables, eq_table in renamings:
+                renamed = tuple(map(list.__getitem__, tables, index))
+                if renamed < index:
+                    break
+                if renamed == index:
+                    ties.append(eq_table)
+            else:
+                valuation = {
+                    w: {name: c[i][w] for name, c, i in zip(names, choices, index)}
+                    for w in frame.worlds
+                }
+                fitting = identities if identities is not None else \
+                    _congruent(frame, valuation, partitions, options)
+                for j, equality in fitting:
+                    if any(table[j] < j for table in ties):
+                        continue
+                    if counter is not None:
+                        counter.tick()
+                    yield Model(
+                        frame=frame,
+                        domains=domains,
+                        valuation=valuation,
+                        equality=equality,
+                        mode=mode,
+                        constant_domains=constant_domains,
+                    )
+
+
+def enumerate_models(frame: Frame, letter_arities: dict, domain_bound: int,
+                     mode: str, eq_principle: str, constant_domains: bool = False):
+    """Yield every model on the frame within the domain bound.
+
+    Only the given letters are interpreted; others cannot affect
+    evaluation.  In intuitionistic mode valuations are hereditary.
+    Domain assignments come first, then each letter's extension in
+    letter order, then the equality.  The models share their
+    ``domains``, ``valuation`` and ``Equality`` objects with each other,
+    so they are read-only.
+    """
+    return _models(frame, letter_arities, domain_bound, mode, eq_principle,
+                   constant_domains, None, leaders_only=False)
 
 
 # ---------------------------------------------------------------------------
@@ -530,9 +632,9 @@ def sat_bounded(f: Formula, cls: FrameClass, world_bound: int, domain_bound: int
     def candidates():
         for frame in _generated_frames(1 if mode == "int" else world_bound,
                                        cls):
-            yield from enumerate_models(frame, letter_arities, domain_bound,
-                                        mode, eq_principle, constant_domains,
-                                        counter)
+            yield from _models(frame, letter_arities, domain_bound, mode,
+                               eq_principle, constant_domains, counter,
+                               leaders_only=True)
 
     try:
         hit = _first_hit(candidates(), lambda m: _satisfying_point(m, compiled))
@@ -586,8 +688,8 @@ def decide_valid_over_frame(fr: Frame, f: Formula, domain_bound: int | None = No
 
     try:
         hit = _first_hit(
-            enumerate_models(fr, letter_arities, domain_bound, mode,
-                             eq_principle, constant_domains, counter),
+            _models(fr, letter_arities, domain_bound, mode, eq_principle,
+                    constant_domains, counter, leaders_only=True),
             check)
     except StepLimitExceeded:
         return Verdict("bound_exhausted", bounds | {"max_steps": max_steps},

@@ -114,13 +114,15 @@ def test_sat_step_cap(capsys, monkeypatch):
 
 
 def test_sat_step_cap_counts_only_checked_models(capsys):
-    # The twelfth model is the first witness: a cap of 12 must reach it and
-    # a cap of 11 must not.  Prefetching candidates must never tick the cap.
+    # The tenth model checked is the first witness (the twelfth model of
+    # the frames searched; two before it are renamings of individuals of
+    # models checked earlier): a cap of 10 must reach it and a cap of 9
+    # must not.  Prefetching candidates must never tick the cap.
     argv = ("sat", "--worlds", "2", "--domain", "2",
             "exists x exists y (Q(x) & <>Q(y) & ~(x = y))")
-    code, out, _ = run(capsys, *argv, "--max-steps", "12")
+    code, out, _ = run(capsys, *argv, "--max-steps", "10")
     assert code == 0 and out.splitlines()[0] == "satisfiable"
-    code, out, _ = run(capsys, *argv, "--max-steps", "11")
+    code, out, _ = run(capsys, *argv, "--max-steps", "9")
     assert code == 3 and out.splitlines()[0] == "bound_exhausted"
 
 

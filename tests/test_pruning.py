@@ -1,7 +1,8 @@
 """Differential tests for the search shortcuts: frames searched once per
 isomorphism class and only when point-generated, intuitionistic searches
-on one world, and equality relations built once per domain assignment.
-Each is compared with a naive test-side reference."""
+on one world, models checked once per renaming of individuals, and
+equality relations built once per domain assignment.  Each is compared
+with a naive test-side reference."""
 
 import json
 from collections import Counter
@@ -11,12 +12,13 @@ import pytest
 
 from monotrick import cli, search
 from monotrick.search import (
-    FrameClass, Verdict, _set_partitions, enumerate_frames,
-    enumerate_frames_up_to_iso, enumerate_models, eq_separation_search,
-    frame_matches, parse_frame_class, sat_bounded,
+    FrameClass, Verdict, _set_partitions, decide_valid_over_frame,
+    enumerate_frames, enumerate_frames_up_to_iso, enumerate_models,
+    eq_separation_search, frame_matches, parse_frame_class, sat_bounded,
 )
 from monotrick.semantics import (
-    Equality, Model, evaluate, model_to_dict, validate_model,
+    Equality, Frame, Model, evaluate, model_to_dict, valid_in_model,
+    validate_model,
 )
 from monotrick.syntax import free_variables, letters, parse
 
@@ -209,3 +211,160 @@ def test_enumerate_models_matches_naive_enumeration(mode, eq_principle):
                for m in enumerate_models(fr, arities, 2, mode, eq_principle)]
         assert got == naive_models(fr, arities, 2, mode, eq_principle), \
             sorted(fr.access)
+
+
+CHAIN3 = Frame(("w0", "w1", "w2"), frozenset({("w0", "w1"), ("w1", "w2")}))
+PREORDER3 = Frame(("w0", "w1", "w2"), frozenset({
+    ("w0", "w0"), ("w0", "w1"), ("w0", "w2"), ("w1", "w1"), ("w1", "w2"),
+    ("w2", "w2")}))
+DECIDE_FRAMES = [*enumerate_frames(2), CHAIN3, PREORDER3]
+
+# Formulas whose countermodels need two individuals at one world, so that
+# the first one often has two individuals present in the same worlds,
+# next to formulas valid in every model (whose search walks every model).
+DECIDE_CASES = {
+    "modal": ("forall x forall y (x = y) | <>exists x Q(x)",
+              "[]false | forall x forall y (Q(x) <-> Q(y))",
+              "~(x = y) -> [](~(x = y) & (Q(x) -> Q(y)))",
+              "x = y -> (Q(x) <-> Q(y))"),
+    "int": ("exists x exists y ~(x = y) -> forall x (Q(x) | ~Q(x))",
+            "forall x forall y (x = y | ~(x = y) | Q(x))",
+            "x = y -> (Q(x) -> Q(y))"),
+}
+
+
+def reference_decide(fr, f, domain_bound, mode, eq_principle, constant):
+    """decide_valid_over_frame over every model of enumerate_models."""
+    bounds = {"domain_bound": domain_bound, "mode": mode,
+              "eq_principle": eq_principle, "constant_domains": constant,
+              "domain_bound_heuristic": False}
+    for m in enumerate_models(fr, letters(f), domain_bound, mode,
+                              eq_principle, constant):
+        ok, witness = valid_in_model(m, f)
+        if not ok:
+            w, sigma = witness
+            return Verdict("countermodel", bounds, model=m, world=w,
+                           assignment=sigma).to_json()
+    return Verdict("valid", bounds).to_json()
+
+
+@pytest.mark.parametrize("constant", (False, True))
+@pytest.mark.parametrize("eq_principle", PRINCIPLES)
+@pytest.mark.parametrize("mode", ("modal", "int"))
+def test_decide_matches_unpruned_reference(mode, eq_principle, constant):
+    for fr in DECIDE_FRAMES:
+        if mode == "int" and not frame_matches(fr, PREORDERS):
+            continue
+        for text in DECIDE_CASES[mode]:
+            f = parse(text)
+            for domain in (1, 2, 3):
+                got = decide_valid_over_frame(fr, f, domain, mode, eq_principle,
+                                              constant).to_json()
+                assert got == reference_decide(fr, f, domain, mode,
+                                               eq_principle, constant), \
+                    (sorted(fr.access), text, domain)
+
+
+def _swapped(m, a, b):
+    """m with the individuals a and b swapped."""
+    swap = {a: b, b: a}.get
+
+    def rename(items):
+        return frozenset(tuple(swap(x, x) for x in t) for t in items)
+    return Model(m.frame, m.domains,
+                 {w: {name: rename(ext) for name, ext in facts.items()}
+                  for w, facts in m.valuation.items()},
+                 Equality(m.equality.principle,
+                          {w: tuple(frozenset(swap(x, x) for x in block)
+                                    for block in part)
+                           for w, part in m.equality.classes.items()}),
+                 m.mode, m.constant_domains)
+
+
+def leader_models(fr, letter_arities, domain_bound, mode, eq_principle,
+                  constant):
+    """The models of enumerate_models that no swap of two adjacent
+    individuals a_i, a_i+1 present in the same worlds moves to an earlier
+    position of enumerate_models."""
+    models = list(enumerate_models(fr, letter_arities, domain_bound, mode,
+                                   eq_principle, constant))
+    dicts = [model_to_dict(m) for m in models]
+    position = {json.dumps(d, sort_keys=True): i for i, d in enumerate(dicts)}
+    leaders = []
+    for i, m in enumerate(models):
+        present = {a: {w for w in fr.worlds if a in m.domains[w]}
+                   for a in max(m.domains.values(), key=len)}
+        pairs = [(f"a{k}", f"a{k + 1}") for k in range(len(present) - 1)
+                 if present[f"a{k}"] == present[f"a{k + 1}"]]
+        if all(position[json.dumps(model_to_dict(_swapped(m, a, b)),
+                                   sort_keys=True)] >= i
+               for a, b in pairs):
+            leaders.append(dicts[i])
+    return dicts, leaders
+
+
+@pytest.mark.parametrize("constant", (False, True))
+@pytest.mark.parametrize("eq_principle", PRINCIPLES)
+@pytest.mark.parametrize("mode", ("modal", "int"))
+def test_decide_checks_each_lex_leader_once(monkeypatch, mode, eq_principle,
+                                            constant):
+    """On a valid formula decide checks exactly the lex-leaders among the
+    models, in order, and fewer models than enumerate_models yields."""
+    checked = []
+
+    def recording(m, compiled):
+        checked.append(model_to_dict(m))
+        return valid_in_model(m, compiled)
+    monkeypatch.setattr(search, "valid_in_model", recording)
+    f = parse("x = y -> (Q(x) -> Q(y))")
+    total = pruned = 0
+    for fr in (PREORDER3, *enumerate_frames(2, PREORDERS)):
+        for domain in (2, 3):
+            checked.clear()
+            verdict = decide_valid_over_frame(fr, f, domain, mode,
+                                              eq_principle, constant)
+            assert verdict.outcome == "valid"
+            models, leaders = leader_models(fr, letters(f), domain, mode,
+                                            eq_principle, constant)
+            assert checked == leaders, (sorted(fr.access), domain)
+            total += len(models)
+            pruned += len(checked)
+    assert pruned < total
+
+
+CAPPED_QUERIES = [
+    lambda cap: sat_bounded(
+        parse("exists x exists y (Q(x) & <>Q(y) & ~(x = y))"), FrameClass(),
+        2, 2, max_steps=cap),
+    lambda cap: sat_bounded(
+        parse("exists x exists y (~(x = y) & <>(x = y))"), FrameClass(), 2, 2,
+        eq_principle="eq1", constant_domains=True, max_steps=cap),
+    lambda cap: sat_bounded(parse("<>exists x ~Q(x) & []forall x Q(x)"),
+                            FrameClass(), 2, 2, max_steps=cap),
+    lambda cap: decide_valid_over_frame(
+        CHAIN3, parse("[]false | forall x forall y (Q(x) <-> Q(y))"), 3,
+        max_steps=cap),
+    lambda cap: decide_valid_over_frame(
+        PREORDER3, parse("exists x exists y ~(x = y) -> (x = y | ~(x = y))"),
+        3, "int", "eq1", max_steps=cap),
+    lambda cap: decide_valid_over_frame(
+        CHAIN3, parse("x = y -> (<>Q(x) <-> <>Q(y))"), 2, eq_principle="eq2",
+        max_steps=cap),
+]
+
+
+@pytest.mark.parametrize("query", range(len(CAPPED_QUERIES)))
+def test_step_cap_gives_uncapped_verdict_or_exhausts(query):
+    """Under any step cap a search gives the uncapped verdict or
+    bound_exhausted, and once a cap reaches the verdict every larger
+    cap does."""
+    run = CAPPED_QUERIES[query]
+    uncapped = run(None).to_json()
+    outcomes = []
+    for cap in range(0, 400, 7):
+        capped = run(cap)
+        assert capped.outcome == "bound_exhausted" or \
+            capped.to_json() == uncapped, cap
+        outcomes.append(capped.outcome == "bound_exhausted")
+    assert outcomes == sorted(outcomes, reverse=True)
+    assert outcomes[0] and not outcomes[-1]
