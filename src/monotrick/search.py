@@ -434,50 +434,46 @@ def _eq_families(frame: Frame, domains: dict, valuation: dict, principle: str):
 def _layer_swaps(domains: dict) -> list:
     """The pairs (a_i, a_i+1) of the pool that lie in one domain layer:
     present in exactly the same worlds, i.e. no world has i+1 of them."""
-    sizes = {len(dom) for dom in domains.values()}
+    sizes = set(map(len, domains.values()))
     pool = max(domains.values(), key=len)
     return [(pool[i], pool[i + 1]) for i in range(len(pool) - 1)
             if i + 1 not in sizes]
 
 
-def _renamed_indices(keys: list, swaps: list, rename) -> list:
-    """For each swap (a, b), the table from i to the index in keys of
-    rename(keys[i], {a: b, b: a})."""
-    where = {key: i for i, key in enumerate(keys)}
-    return [[where[rename(key, {a: b, b: a})] for key in keys]
-            for a, b in swaps]
+def _renamed(x, swap: dict):
+    """x, nested tuples and frozensets of individuals, with each individual
+    a replaced by swap.get(a, a)."""
+    if isinstance(x, str):
+        return swap.get(x, x)
+    return type(x)(_renamed(y, swap) for y in x)
+
+
+def _swap_tables(keys: list, domains: dict) -> list:
+    """For each layer swap (a, b) of the domain assignment, the table from
+    i to the index in keys of keys[i] with a and b swapped."""
+    where = dict(zip(keys, range(len(keys))))
+    return [[where[_renamed(key, {a: b, b: a})] for key in keys]
+            for a, b in _layer_swaps(domains)]
 
 
 @cache
 def _valuation_renamings(frame: Frame, doms: tuple, arity: int) -> list:
-    """Per layer swap of the domain assignment doms (one domain per world),
-    the table from the index of a letter's hereditary option in
-    _valuation_families to the index of the option with the two
-    individuals swapped.  On a frame without edges every option is
-    hereditary."""
+    """_swap_tables of a letter's hereditary options in
+    _valuation_families on the domain assignment doms (one domain per
+    world).  On a frame without edges every option is hereditary."""
     domains = dict(zip(frame.worlds, doms))
     [(_, options)] = _valuation_families(frame, domains, {"": arity}, True)
-    return _renamed_indices(
-        [tuple(option[w] for w in frame.worlds) for option in options],
-        _layer_swaps(domains),
-        lambda key, swap: tuple(
-            frozenset(tuple(swap.get(a, a) for a in tup) for tup in ext)
-            for ext in key))
+    return _swap_tables([tuple(map(option.get, frame.worlds))
+                         for option in options], domains)
 
 
 @cache
 def _equality_renamings(frame: Frame, doms: tuple, principle: str) -> list:
-    """As _valuation_renamings, for the options of _equalities."""
+    """_swap_tables of the options of _equalities on doms."""
     domains = dict(zip(frame.worlds, doms))
     _, options = _equalities(frame, domains, principle)
-    return _renamed_indices(
-        [tuple(frozenset(eq.classes[w]) for w in frame.worlds)
-         for _, eq in options],
-        _layer_swaps(domains),
-        lambda key, swap: tuple(
-            frozenset(frozenset(swap.get(a, a) for a in block)
-                      for block in part)
-            for part in key))
+    return _swap_tables([tuple(map(frozenset, map(eq.classes.get, frame.worlds)))
+                         for _, eq in options], domains)
 
 
 def _models(frame: Frame, letter_arities: dict, domain_bound: int, mode: str,
