@@ -1,5 +1,6 @@
-"""Golden verdicts: fixed sat/decide/separate queries whose JSON output
-must stay byte-identical across refactors of the search and evaluator.
+"""Golden verdicts: fixed sat/decide/separate/experiment queries whose
+JSON output must stay byte-identical across refactors of the search and
+evaluator.  An experiment's ``wall_time`` is blanked.
 
 The file ``tests/data/golden_verdicts.json`` was recorded from a trusted
 revision with ``PYTHONPATH=src python -m tests.test_golden --write``.
@@ -10,13 +11,15 @@ import sys
 
 import pytest
 
+from monotrick.experiments import trick_experiment
 from monotrick.search import (
     decide_valid_over_frame, eq_separation_search, parse_frame_class,
     sat_bounded,
 )
 from monotrick.semantics import Frame
 from monotrick.syntax import parse
-from tests.conftest import GOLDEN_PATH, golden_verdict
+from monotrick.translations import Variant
+from tests.conftest import GOLDEN_PATH, golden_verdict, read_corpus
 
 CHAIN = Frame(("w0", "w1"), frozenset({("w0", "w1")}))
 PREORDER_CHAIN = Frame(("w0", "w1"),
@@ -41,6 +44,14 @@ def _decide(frame, text, domain=2, **kwargs):
 def _separate(worlds, domain):
     return lambda: json.dumps(eq_separation_search(worlds, domain).to_dict(),
                               sort_keys=True, indent=2)
+
+
+def _experiment(corpus, variant, size):
+    def run():
+        report = trick_experiment(read_corpus(corpus), variant, size)
+        return json.dumps(report.to_dict() | {"wall_time": None},
+                          sort_keys=True, indent=2)
+    return run
 
 
 QUERIES = {
@@ -150,6 +161,10 @@ QUERIES = {
              mode="int", eq_principle="eq2"),
     "separate-2-2": _separate(2, 2),
     "separate-3-2": _separate(3, 2),
+    "experiment-d2-classical-size3":
+        _experiment("classical_corpus.txt", Variant.DIAMOND2, 3),
+    "experiment-nd1-graph-size4":
+        _experiment("graph_corpus.txt", Variant.NEG_DIAMOND1, 4),
 }
 
 
