@@ -3,7 +3,9 @@
 Exit codes: 0 affirmative (valid / satisfiable / clean validation /
 true), 1 negative (countermodel, unsatisfiable, violations, false),
 2 usage or input error, 3 bound exhausted or resource cap hit,
-4 internal error (an unexpected exception; never a verdict).
+4 internal error (an unexpected exception; never a verdict),
+141 standard output closed before the output was written, e.g. by
+``| head`` (128 + SIGPIPE, as POSIX tools report it; nothing is printed).
 Errors are reported on one line of standard error.
 """
 
@@ -31,6 +33,7 @@ EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_EXHAUSTED = 3
 EXIT_INTERNAL = 4
+EXIT_BROKEN_PIPE = 141
 
 _VERDICT_EXIT = {
     "valid": EXIT_OK,
@@ -313,7 +316,13 @@ def main(argv=None) -> int:
     # Looked up per call, so that the command functions can be replaced.
     func = globals()["_cmd_" + args.command.replace("-", "_")]
     try:
-        return func(args)
+        code = func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # The interpreter flushes stdout again at exit: let it write nowhere.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (ParseError, UsageError, ValueError, OSError,
             json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

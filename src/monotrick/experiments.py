@@ -4,6 +4,13 @@ For every corpus sentence and every classical structure up to a size
 bound, classical truth (computed by the independent classical
 evaluator) is compared against Kripke evaluation of the translated
 sentence at the companion-model root.
+
+Both sides are invariant under renaming the domain: classical truth is,
+and a renamed structure has an isomorphic companion model.  So each
+isomorphism class is checked once, on its least-labelled member (least
+bit mask, bit n*a + b for the pair (a, b), as for frames in ``search``),
+and an agreement counts for every member.  A class that disagrees is
+expanded into its members, reported in ``enumerate_structures`` order.
 """
 
 from __future__ import annotations
@@ -12,7 +19,7 @@ import time
 from dataclasses import dataclass, field
 from itertools import combinations, product
 
-from .search import classical_evaluate
+from .search import _least_labelled, _renamed_masks, classical_evaluate
 from .semantics import compile_formula
 from .syntax import Formula, free_variables, letters, modal_depth, parse, render
 from .translations import (
@@ -31,18 +38,24 @@ def enumerate_structures(max_size: int, symmetric_irreflexive: bool = False):
         raise ValueError("max_size must be >= 1")
     for n in range(1, max_size + 1):
         domain = tuple(range(n))
-        if symmetric_irreflexive:
-            edges = list(combinations(domain, 2))
-            for mask in range(1 << len(edges)):
-                chosen = [e for i, e in enumerate(edges) if mask >> i & 1]
-                rel = frozenset(p for (a, b) in chosen for p in ((a, b), (b, a)))
-                yield ClassicalStructure(domain, rel)
-        else:
-            pairs = sorted(product(domain, repeat=2))
-            for mask in range(1 << len(pairs)):
-                yield ClassicalStructure(
-                    domain, frozenset(p for i, p in enumerate(pairs)
-                                      if mask >> i & 1))
+        if symmetric_irreflexive:  # bit i: the i-th edge of combinations()
+            cells = [((a, b), (b, a)) for a, b in combinations(domain, 2)]
+        else:  # bit n*a + b: the pair (a, b)
+            cells = [(p,) for p in product(domain, repeat=2)]
+        for mask in range(1 << len(cells)):
+            yield ClassicalStructure(domain, frozenset(
+                p for i, ps in enumerate(cells) if mask >> i & 1 for p in ps))
+
+
+def _classes(structures: list) -> list:
+    """(index of the least-labelled member, indices of all members) of
+    each isomorphism class of structures over domains 0..n-1, in the
+    order of the least-labelled members."""
+    index = {(len(s.domain), sum(1 << (len(s.domain) * a + b)
+                                 for a, b in s.relation)): i
+             for i, s in enumerate(structures)}
+    return [(i, [index[n, m] for m in {mask, *_renamed_masks(n, mask)}])
+            for (n, mask), i in index.items() if _least_labelled(n, mask)]
 
 
 @dataclass
@@ -99,13 +112,16 @@ def trick_experiment(corpus, variant: Variant, size_bound: int) -> ExperimentRep
 
     symmetric = variant is Variant.NEG_DIAMOND1
     structures = list(enumerate_structures(size_bound, symmetric))
+    classes = _classes(structures)
     agreement = 0
     disagreements = []
     for f in formulas:
         scheme = fresh_scheme(f)
         translated = compile_formula(kripke_trick(f, variant, scheme), "modal")
         binary = next((name for name, a in letters(f).items() if a == 2), None)
-        for idx, s in enumerate(structures):
+        wrong = []
+        for idx, members in classes:
+            s = structures[idx]
             interp = {binary: s.relation} if binary else {}
             classical = classical_evaluate(s.domain, interp, {}, f)
             model, root = build_companion_model(s, variant, scheme)
@@ -114,16 +130,19 @@ def trick_experiment(corpus, variant: Variant, size_bound: int) -> ExperimentRep
             # hold by construction.
             modal = translated.holds(model, root, ())
             if classical == modal:
-                agreement += 1
+                agreement += len(members)
             else:
-                disagreements.append({
-                    "formula": render(f),
-                    "structure": {"domain": list(s.domain),
-                                  "relation": sorted(map(list, s.relation))},
-                    "structure_index": idx,
-                    "classical": classical,
-                    "modal": modal,
-                })
+                wrong += ((i, classical, modal) for i in members)
+        for idx, classical, modal in sorted(wrong):
+            s = structures[idx]
+            disagreements.append({
+                "formula": render(f),
+                "structure": {"domain": list(s.domain),
+                              "relation": sorted(map(list, s.relation))},
+                "structure_index": idx,
+                "classical": classical,
+                "modal": modal,
+            })
     return ExperimentReport(
         variant=variant.value,
         corpus_size=len(formulas),

@@ -216,14 +216,20 @@ def _point_generated(n: int, mask: int) -> bool:
     return full in reach
 
 
-def _least_labelled(n: int, mask: int) -> bool:
-    """Whether no renaming of the worlds gives the frame a smaller mask."""
+def _renamed_masks(n: int, mask: int):
+    """The frame's mask under each non-identity renaming of its worlds."""
     full = (1 << n) - 1
     rows = [mask >> (n * a) & full for a in range(n)]
     for tables in _renamings(n):
         renamed = 0
         for table, row in zip(tables, rows):
             renamed |= table[row]
+        yield renamed
+
+
+def _least_labelled(n: int, mask: int) -> bool:
+    """Whether no renaming of the worlds gives the frame a smaller mask."""
+    for renamed in _renamed_masks(n, mask):
         if renamed < mask:
             return False
     return True
@@ -419,18 +425,6 @@ def _congruent(frame: Frame, valuation: dict, partitions: list,
             if all(row[i] for row, i in zip(ok, combo))]
 
 
-def _eq_families(frame: Frame, domains: dict, valuation: dict, principle: str):
-    """Per-world partition families consistent with the principle and
-    congruent with the valuation.
-
-    Principle "any" applies only the congruence filter, yielding every
-    congruent family regardless of cross-world heredity.
-    """
-    for _, eq in _congruent(frame, valuation,
-                            *_equalities(frame, domains, principle)):
-        yield eq.classes
-
-
 def _layer_swaps(domains: dict) -> list:
     """The pairs (a_i, a_i+1) of the pool that lie in one domain layer:
     present in exactly the same worlds, i.e. no world has i+1 of them."""
@@ -582,15 +576,6 @@ class Verdict:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
-def _first_hit(candidates, check):
-    """First non-None check(c) in candidate order."""
-    for c in candidates:
-        hit = check(c)
-        if hit is not None:
-            return hit
-    return None
-
-
 def _satisfying_point(model: Model, compiled: Compiled):
     holds, free = compiled.holds, compiled.free
     # Points are drawn from D(w) and bind exactly the free variables, so
@@ -598,7 +583,7 @@ def _satisfying_point(model: Model, compiled: Compiled):
     for w in model.frame.worlds:
         for values in product(model.domains[w], repeat=len(free)):
             if holds(model, w, values):
-                return model, w, dict(zip(free, values))
+                return w, dict(zip(free, values))
     return None
 
 
@@ -625,21 +610,20 @@ def sat_bounded(f: Formula, cls: FrameClass, world_bound: int, domain_bound: int
     letter_arities = letters(f)
     compiled = compile_formula(f, mode)
 
-    def candidates():
+    try:
         for frame in _generated_frames(1 if mode == "int" else world_bound,
                                        cls):
-            yield from _models(frame, letter_arities, domain_bound, mode,
-                               eq_principle, constant_domains, counter,
-                               leaders_only=True)
-
-    try:
-        hit = _first_hit(candidates(), lambda m: _satisfying_point(m, compiled))
+            for model in _models(frame, letter_arities, domain_bound, mode,
+                                 eq_principle, constant_domains, counter,
+                                 leaders_only=True):
+                hit = _satisfying_point(model, compiled)
+                if hit is not None:
+                    w, sigma = hit
+                    return Verdict("satisfiable", bounds, model=model, world=w,
+                                   assignment=sigma)
     except StepLimitExceeded:
         return Verdict("bound_exhausted", bounds | {"max_steps": max_steps})
-    if hit is None:
-        return Verdict("unsatisfiable_up_to_bound", bounds)
-    model, w, sigma = hit
-    return Verdict("satisfiable", bounds, model=model, world=w, assignment=sigma)
+    return Verdict("unsatisfiable_up_to_bound", bounds)
 
 
 def default_domain_bound(f: Formula) -> int:
@@ -675,26 +659,19 @@ def decide_valid_over_frame(fr: Frame, f: Formula, domain_bound: int | None = No
     letter_arities = letters(f)
     compiled = compile_formula(f, mode)
 
-    def check(model: Model):
-        ok, witness = valid_in_model(model, compiled)
-        if ok:
-            return None
-        w, sigma = witness
-        return model, w, sigma
-
     try:
-        hit = _first_hit(
-            _models(fr, letter_arities, domain_bound, mode, eq_principle,
-                    constant_domains, counter, leaders_only=True),
-            check)
+        for model in _models(fr, letter_arities, domain_bound, mode,
+                             eq_principle, constant_domains, counter,
+                             leaders_only=True):
+            ok, witness = valid_in_model(model, compiled)
+            if not ok:
+                w, sigma = witness
+                return Verdict("countermodel", bounds, model=model, world=w,
+                               assignment=sigma, warnings=warnings_list)
     except StepLimitExceeded:
         return Verdict("bound_exhausted", bounds | {"max_steps": max_steps},
                        warnings=warnings_list)
-    if hit is None:
-        return Verdict("valid", bounds, warnings=warnings_list)
-    model, w, sigma = hit
-    return Verdict("countermodel", bounds, model=model, world=w,
-                   assignment=sigma, warnings=warnings_list)
+    return Verdict("valid", bounds, warnings=warnings_list)
 
 
 # ---------------------------------------------------------------------------

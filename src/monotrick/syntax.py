@@ -394,6 +394,17 @@ def _children(f: Formula) -> tuple:
     return ()
 
 
+def map_children(f: Formula, fn) -> Formula:
+    """f with fn applied to each immediate subformula; a leaf unchanged."""
+    if isinstance(f, (Not, Box, Diamond)):
+        return type(f)(fn(f.body))
+    if isinstance(f, (Forall, Exists)):
+        return type(f)(f.var, fn(f.body))
+    if isinstance(f, (And, Or, Implies, Iff)):
+        return type(f)(fn(f.left), fn(f.right))
+    return f
+
+
 def subformulas(f: Formula):
     """Yield f and every subformula of f, outermost first, left before
     right.  Iterative, so it is safe on formulas of any depth."""

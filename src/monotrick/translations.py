@@ -14,8 +14,8 @@ from enum import Enum
 
 from .semantics import Equality, Frame, Model, identity_partition
 from .syntax import (
-    And, Atom, Box, Diamond, Eq, Exists, Falsum, Forall, Formula, Iff,
-    Implies, Not, Or, Verum, classify, letters, modal_depth, subformulas,
+    And, Atom, Diamond, Eq, Falsum, Formula, Implies, Not, Or, classify,
+    letters, map_children, modal_depth, subformulas,
 )
 
 
@@ -106,18 +106,7 @@ def positivize(f: Formula, fresh: str) -> Formula:
             return target
         if isinstance(g, Not):
             return Implies(go(g.body), target)
-        if isinstance(g, (Atom, Eq, Verum)):
-            return g
-        if isinstance(g, Box):
-            return Box(go(g.body))
-        if isinstance(g, Diamond):
-            return Diamond(go(g.body))
-        if isinstance(g, Forall):
-            return Forall(g.var, go(g.body))
-        if isinstance(g, Exists):
-            return Exists(g.var, go(g.body))
-        ctor = type(g)
-        return ctor(go(g.left), go(g.right))
+        return map_children(g, go)
 
     return go(f)
 
@@ -169,20 +158,9 @@ def kripke_trick(f: Formula, variant: Variant,
         return Or(Not(pair), Atom(names.q_prop))
 
     def go(g: Formula) -> Formula:
-        if isinstance(g, Atom):
-            if len(g.args) == 2:
-                return replace(g.args[0], g.args[1])
-            return g
-        if isinstance(g, (Verum, Falsum)):
-            return g
-        if isinstance(g, Not):
-            return Not(go(g.body))
-        if isinstance(g, Forall):
-            return Forall(g.var, go(g.body))
-        if isinstance(g, Exists):
-            return Exists(g.var, go(g.body))
-        ctor = type(g)
-        return ctor(go(g.left), go(g.right))
+        if isinstance(g, Atom) and len(g.args) == 2:
+            return replace(*g.args)
+        return map_children(g, go)
 
     return go(f)
 

@@ -9,9 +9,10 @@ from itertools import product
 
 from monotrick.experiments import trick_experiment
 from monotrick.search import (
-    FrameClass, _domain_assignments, _eq_families, _valuation_families,
-    classical_sat, decide_valid_over_frame, enumerate_frames, enumerate_models,
-    eq_separation_search, frame_properties, sat_bounded,
+    FrameClass, _congruent, _domain_assignments, _equalities,
+    _valuation_families, classical_sat, decide_valid_over_frame,
+    enumerate_frames, enumerate_models, eq_separation_search,
+    frame_properties, sat_bounded,
 )
 from monotrick.semantics import (
     Equality, Frame, Model, evaluate, valid_in_model, validate_model,
@@ -80,9 +81,10 @@ def test_criterion_03_eq1_correspondence():
                                            hereditary=False)
             for (family,) in product(*(opts for _, opts in families)):
                 valuation = {w: {"Q": family[w]} for w in fr.worlds}
-                for eq_family in _eq_families(fr, domains, valuation, "any"):
+                for _, eq in _congruent(fr, valuation,
+                                        *_equalities(fr, domains, "any")):
                     model = Model(fr, dict(domains), valuation,
-                                  Equality("eq1", eq_family), "modal")
+                                  Equality("eq1", eq.classes), "modal")
                     valid, _ = valid_in_model(model, formula)
                     assert valid == _upward_hereditary(model)
                     cases += 1

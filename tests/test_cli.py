@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -272,6 +276,22 @@ def test_unexpected_exception_exit_4(capsys, monkeypatch):
     code, out, err = run(capsys, "parse", "p")
     assert code == cli.EXIT_INTERNAL == 4
     assert out == "" and err == "internal error: RuntimeError: boom\n"
+
+
+def test_closed_stdout_exits_141_quietly(tmp_path):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("forall x exists y P(x,y)\n")
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    with subprocess.Popen(
+            [sys.executable, "-m", "monotrick", "experiment", "--json",
+             "--variant", "d2", "--size", "2", str(corpus)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        proc.stdout.close()  # the reader is gone before anything is written
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == cli.EXIT_BROKEN_PIPE == 141
+    assert err == b""
 
 
 def test_missing_model_file(capsys):

@@ -1,9 +1,18 @@
+from itertools import combinations, permutations
+
 import pytest
 
+from monotrick import experiments
 from monotrick.experiments import (
     ExperimentReport, enumerate_structures, trick_experiment,
 )
-from monotrick.translations import Variant
+from monotrick.search import classical_evaluate
+from monotrick.semantics import compile_formula
+from monotrick.syntax import parse, render
+from monotrick.translations import (
+    Variant, build_companion_model, fresh_scheme, kripke_trick,
+)
+from tests.conftest import read_corpus
 
 
 def test_structure_counts():
@@ -13,6 +22,27 @@ def test_structure_counts():
     # 2^C(n,2) undirected loop-free graphs per size
     assert sum(1 for _ in enumerate_structures(4, symmetric_irreflexive=True)) \
         == 1 + 2 + 8 + 64
+
+
+def test_structure_order():
+    # d2: relations in the bit order of their frame masks (bit n*a + b).
+    assert [(len(s.domain), _mask(s)) for s in enumerate_structures(3)] \
+        == [(n, m) for n in range(1, 4) for m in range(1 << n * n)]
+    # nd1: edge subsets in the bit order of combinations(domain, 2).  At
+    # four individuals this is not the order of the relations' frame
+    # masks, so the structures cannot be enumerated as frames without
+    # renumbering them.
+    expected = [(n, frozenset(p for i, (a, b) in enumerate(edges)
+                              if m >> i & 1 for p in ((a, b), (b, a))))
+                for n in range(1, 5)
+                for edges in [list(combinations(range(n), 2))]
+                for m in range(1 << len(edges))]
+    structures = list(enumerate_structures(4, symmetric_irreflexive=True))
+    assert [(len(s.domain), s.relation) for s in structures] == expected
+    by_mask = {n: [_mask(s) for s in structures if len(s.domain) == n]
+               for n in (3, 4)}
+    assert by_mask[3] == sorted(by_mask[3])
+    assert by_mask[4] != sorted(by_mask[4])
 
 
 def test_symmetric_irreflexive_stream_is_well_formed():
@@ -60,3 +90,77 @@ def test_report_round_trips():
     report = trick_experiment(["forall x P(x,x)"], Variant.DIAMOND2, 2)
     d = report.to_dict()
     assert isinstance(ExperimentReport(**d), ExperimentReport)
+
+
+def _mask(s):
+    n = len(s.domain)
+    return sum(1 << (n * a + b) for a, b in s.relation)
+
+
+def _least_in_class(s):
+    """Whether no renaming of the domain gives s a smaller relation mask."""
+    n = len(s.domain)
+    return _mask(s) == min(sum(1 << (n * p[a] + p[b]) for a, b in s.relation)
+                           for p in permutations(range(n)))
+
+
+def _labelled_walk(corpus, variant, size_bound):
+    """Reference: the comparison made on every labelled structure."""
+    structures = list(enumerate_structures(size_bound,
+                                           variant is Variant.NEG_DIAMOND1))
+    agreement, disagreements = 0, []
+    for f in map(parse, corpus):
+        scheme = fresh_scheme(f)
+        translated = compile_formula(experiments.kripke_trick(f, variant,
+                                                              scheme), "modal")
+        for idx, s in enumerate(structures):
+            classical = classical_evaluate(s.domain, {"P": s.relation}, {}, f)
+            model, root = build_companion_model(s, variant, scheme)
+            modal = translated.holds(model, root, ())
+            if classical == modal:
+                agreement += 1
+            else:
+                disagreements.append({
+                    "formula": render(f),
+                    "structure": {"domain": list(s.domain),
+                                  "relation": sorted(map(list, s.relation))},
+                    "structure_index": idx,
+                    "classical": classical,
+                    "modal": modal,
+                })
+    return len(structures), agreement, disagreements
+
+
+def _unfaithful(f, variant, names=None):
+    """The trick applied after negating every atom: still a closed
+    monadic sentence, so its truth is invariant under renaming, but it
+    disagrees with classical truth on some classes and not on others."""
+    return kripke_trick(parse(render(f).replace("P(", "~P(")), variant, names)
+
+
+@pytest.mark.parametrize("corpus, variant, size", [
+    ("classical_corpus.txt", Variant.DIAMOND2, 3),
+    ("graph_corpus.txt", Variant.NEG_DIAMOND1, 4),
+])
+def test_one_structure_per_class_matches_labelled_walk(monkeypatch, corpus,
+                                                       variant, size):
+    sentences = read_corpus(corpus)
+    monkeypatch.setattr(experiments, "kripke_trick", _unfaithful)
+    count, agreement, disagreements = _labelled_walk(sentences, variant, size)
+    assert disagreements and agreement
+
+    visited = []
+
+    def spy(s, *args):
+        visited.append(s)
+        return build_companion_model(s, *args)
+
+    monkeypatch.setattr(experiments, "build_companion_model", spy)
+    report = trick_experiment(sentences, variant, size)
+    assert report.structure_count == count
+    assert report.agreement == agreement
+    assert report.disagreements == disagreements
+    # Each sentence is checked on the least-labelled member of each class.
+    representatives = [s for s in enumerate_structures(
+        size, variant is Variant.NEG_DIAMOND1) if _least_in_class(s)]
+    assert visited == representatives * len(sentences)
