@@ -132,7 +132,7 @@ def _labelled_walk(corpus, variant, size_bound):
 
 
 def _unfaithful(f, variant, names=None):
-    """The trick applied after negating every atom: still a closed
+    """The trick applied after negating every P atom: still a closed
     monadic sentence, so its truth is invariant under renaming, but it
     disagrees with classical truth on some classes and not on others."""
     return kripke_trick(parse(render(f).replace("P(", "~P(")), variant, names)

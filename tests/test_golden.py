@@ -47,11 +47,9 @@ def _separate(worlds, domain):
 
 
 def _experiment(corpus, variant, size):
-    def run():
-        report = trick_experiment(read_corpus(corpus), variant, size)
-        return json.dumps(report.to_dict() | {"wall_time": None},
-                          sort_keys=True, indent=2)
-    return run
+    return lambda: json.dumps(
+        trick_experiment(read_corpus(corpus), variant, size).to_dict()
+        | {"wall_time": None}, sort_keys=True, indent=2)
 
 
 QUERIES = {
