@@ -42,6 +42,14 @@ class TestParse:
         assert parse("p -> q -> r") == Implies(Atom("p"),
                                                Implies(Atom("q"), Atom("r")))
 
+    def test_iff_right_associative(self):
+        assert parse("p <-> q <-> r") == Iff(Atom("p"),
+                                             Iff(Atom("q"), Atom("r")))
+
+    def test_and_or_left_associative(self):
+        assert parse("p & q & r") == And(And(Atom("p"), Atom("q")), Atom("r"))
+        assert parse("p | q | r") == Or(Or(Atom("p"), Atom("q")), Atom("r"))
+
     def test_comments_and_whitespace(self):
         assert parse("p &  # trailing comment\n q") == And(Atom("p"), Atom("q"))
 
