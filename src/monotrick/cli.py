@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 
 from . import search, semantics, syntax
 from .experiments import trick_experiment
@@ -124,7 +125,11 @@ def _cmd_translate(args) -> int:
     if args.positivize:
         from .translations import fresh_letter
         f = positivize(f, fresh_letter(f, "p_pos"))
-    g = kripke_trick(f, variant, fresh_scheme(f))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        g = kripke_trick(f, variant, fresh_scheme(f))
+    for warning in caught:
+        print(f"warning: {warning.message}", file=sys.stderr)
     _emit({"formula": render(g)}, render(g), args.json)
     return EXIT_OK
 

@@ -16,15 +16,15 @@ expanded into its members, reported in ``enumerate_structures`` order.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import combinations, product
 
 from .search import _least_labelled, _renamed_masks, classical_evaluate
 from .semantics import compile_formula
-from .syntax import Formula, free_variables, letters, modal_depth, parse, render
+from .syntax import free_variables, letters, parse, render
 from .translations import (
-    ClassicalStructure, Variant, build_companion_model, fresh_scheme,
-    kripke_trick,
+    ClassicalStructure, TranslationError, Variant, build_companion_model,
+    fresh_scheme, kripke_trick,
 )
 
 
@@ -69,29 +69,7 @@ class ExperimentReport:
     wall_time: float = 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "variant": self.variant,
-            "corpus_size": self.corpus_size,
-            "structure_count": self.structure_count,
-            "agreement": self.agreement,
-            "disagreements": list(self.disagreements),
-            "skipped": list(self.skipped),
-            "wall_time": self.wall_time,
-        }
-
-
-def _admissible(f: Formula, variant: Variant) -> str | None:
-    """Reason the formula is outside the experiment's signature, or None."""
-    if free_variables(f):
-        return f"open formula; free: {sorted(free_variables(f))}"
-    if modal_depth(f) > 0:
-        return "contains a modality"
-    binary = [name for name, a in letters(f).items() if a >= 2]
-    if any(a > 2 for a in letters(f).values()) or len(binary) > 1:
-        return "signature must contain at most one binary letter"
-    if any(a == 1 for a in letters(f).values()):
-        return "unary letters are not admitted in trick input"
-    return None
+        return asdict(self)
 
 
 def trick_experiment(corpus, variant: Variant, size_bound: int) -> ExperimentReport:
@@ -100,24 +78,27 @@ def trick_experiment(corpus, variant: Variant, size_bound: int) -> ExperimentRep
         raise ValueError(
             f"variant {variant.value} has no companion-model construction")
     started = time.perf_counter()
-    formulas = []
+    formulas = []  # (sentence, naming scheme, compiled translation)
     skipped = []
     for entry in corpus:
         f = parse(entry) if isinstance(entry, str) else entry
-        reason = _admissible(f, variant)
-        if reason is not None:
-            skipped.append({"formula": render(f), "reason": reason})
+        try:  # the trick checks the signature, not closedness
+            if free_variables(f):
+                raise TranslationError(
+                    f"open formula; free: {sorted(free_variables(f))}")
+            scheme = fresh_scheme(f)
+            translated = kripke_trick(f, variant, scheme)
+        except TranslationError as exc:
+            skipped.append({"formula": render(f), "reason": str(exc)})
             continue
-        formulas.append(f)
+        formulas.append((f, scheme, compile_formula(translated, "modal")))
 
     symmetric = variant is Variant.NEG_DIAMOND1
     structures = list(enumerate_structures(size_bound, symmetric))
     classes = _classes(structures)
     agreement = 0
     disagreements = []
-    for f in formulas:
-        scheme = fresh_scheme(f)
-        translated = compile_formula(kripke_trick(f, variant, scheme), "modal")
+    for f, scheme, translated in formulas:
         binary = next((name for name, a in letters(f).items() if a == 2), None)
         wrong = []
         for idx, members in classes:
@@ -125,7 +106,7 @@ def trick_experiment(corpus, variant: Variant, size_bound: int) -> ExperimentRep
             interp = {binary: s.relation} if binary else {}
             classical = classical_evaluate(s.domain, interp, {}, f)
             model, root = build_companion_model(s, variant, scheme)
-            # f is closed (see _admissible), so is its translation, and the
+            # f is closed (checked above), so is its translation, and the
             # root is a world of the companion model: evaluate()'s checks
             # hold by construction.
             modal = translated.holds(model, root, ())

@@ -48,7 +48,7 @@ from functools import cache
 from itertools import permutations, product
 
 from .semantics import (
-    Compiled, Equality, Frame, Model, compile_formula, evaluate,
+    Equality, Frame, Model, compile_formula, evaluate, first_point,
     heredity_violations, identity_partition, model_to_dict,
     partition_congruent, valid_in_model, validate_model,
 )
@@ -576,17 +576,6 @@ class Verdict:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
-def _satisfying_point(model: Model, compiled: Compiled):
-    holds, free = compiled.holds, compiled.free
-    # Points are drawn from D(w) and bind exactly the free variables, so
-    # evaluate()'s per-point checks hold by construction.
-    for w in model.frame.worlds:
-        for values in product(model.domains[w], repeat=len(free)):
-            if holds(model, w, values):
-                return w, dict(zip(free, values))
-    return None
-
-
 def sat_bounded(f: Formula, cls: FrameClass, world_bound: int, domain_bound: int,
                 mode: str = "modal", eq_principle: str = "eq3",
                 constant_domains: bool = False,
@@ -616,7 +605,7 @@ def sat_bounded(f: Formula, cls: FrameClass, world_bound: int, domain_bound: int
             for model in _models(frame, letter_arities, domain_bound, mode,
                                  eq_principle, constant_domains, counter,
                                  leaders_only=True):
-                hit = _satisfying_point(model, compiled)
+                hit = first_point(model, compiled, True)
                 if hit is not None:
                     w, sigma = hit
                     return Verdict("satisfiable", bounds, model=model, world=w,
@@ -734,7 +723,6 @@ def _reverify(verdict: Verdict, f: Formula) -> bool:
 
 
 def eq_separation_search(world_bound: int = 3, domain_bound: int = 2,
-                         candidates=_SEPARATION_CANDIDATES,
                          max_steps: int | None = None) -> SeparationReport:
     """Search small frames for pairs separating the equality principles.
 
@@ -749,7 +737,7 @@ def eq_separation_search(world_bound: int = 3, domain_bound: int = 2,
     subframes, and a countermodel restricts to the subframe its world
     generates, so the first separating frame is point-generated.
     """
-    parsed = [(mode, parse(text)) for mode, text in candidates]
+    parsed = [(mode, parse(text)) for mode, text in _SEPARATION_CANDIDATES]
     found_32 = None
     found_21 = None
     for fr in _generated_frames(world_bound):

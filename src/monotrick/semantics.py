@@ -102,9 +102,6 @@ class Model:
     mode: str = "modal"
     constant_domains: bool = False
 
-    def domain(self, w: str) -> tuple:
-        return self.domains[w]
-
     def related(self, w: str, a, b) -> bool:
         return self.equality.related(w, a, b)
 
@@ -445,14 +442,22 @@ def valid_in_model(m: Model, f: Formula | Compiled):
     if compiled.mode != m.mode:
         raise EvaluationError(
             f"formula compiled for {compiled.mode} mode, model is {m.mode}")
+    point = first_point(m, compiled, False)
+    return point is None, point
+
+
+def first_point(m: Model, compiled: Compiled, value: bool):
+    """The first (world, assignment) of m, worlds in frame order and
+    values in product order, at which compiled has truth value value;
+    None if there is none.  compiled must be of m's mode."""
     holds, free = compiled.holds, compiled.free
     # Points are drawn from D(w) and bind exactly the free variables, so
     # evaluate()'s per-point checks hold by construction.
     for w in m.frame.worlds:
         for values in product(m.domains[w], repeat=len(free)):
-            if not holds(m, w, values):
-                return False, (w, dict(zip(free, values)))
-    return True, None
+            if holds(m, w, values) is value:
+                return w, dict(zip(free, values))
+    return None
 
 
 def check_letter_arities(m: Model, f: Formula):

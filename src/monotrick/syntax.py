@@ -1,11 +1,13 @@
 """Formula AST, parser, pretty-printer, and fragment classification.
 
-Grammar (ASCII): ``~`` not, ``&`` and, ``|`` or, ``->`` implies (right
-associative), ``<->`` iff, ``[]`` box, ``<>`` diamond, ``forall x`` /
-``exists x`` quantifiers, ``true`` / ``false``, ``x = y`` equality,
-``P(x,y)`` atoms, bare identifiers as propositional letters.  ``#``
-starts a comment.  Precedence: unary operators and quantifiers bind
-tightest, then ``&``, ``|``, ``->``, ``<->``.
+Grammar (ASCII): ``~`` not, ``&`` and, ``|`` or, ``->`` implies,
+``<->`` iff, ``[]`` box, ``<>`` diamond, ``forall x`` / ``exists x``
+quantifiers, ``true`` / ``false``, ``x = y`` equality, ``P(x,y)``
+atoms, bare identifiers as propositional letters.  ``#`` starts a
+comment.  Unary operators and quantifiers bind tightest, then ``&``,
+``|``, ``->``, ``<->``; ``&`` and ``|`` group to the left, ``->`` and
+``<->`` to the right.  The parser and ``render`` both read this from the
+table ``_BINARY``.
 
 Identifiers matching ``[xyzuvw][0-9]*`` are variables; everything else
 is a predicate letter.
@@ -14,15 +16,17 @@ is a predicate letter.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 _VARIABLE_RE = re.compile(r"[xyzuvw][0-9]*\Z")
-_KEYWORDS = {"forall", "exists", "true", "false"}
 
 # Deepest nesting the parser accepts, counting both AST levels and
-# parentheses.  Parsing takes up to seven frames per parenthesis and
-# compiling, evaluating and printing at most two per AST level, so every
-# accepted formula stays well inside the default recursion limit (1000).
+# parentheses.  Parsing takes up to six frames per parenthesis (_nested,
+# _unary, _atomic and a _binary for each of at most three precedence
+# levels that left-associative operands climb) and two per prefix
+# operator or right-associative connective, and compiling, evaluating
+# and printing at most two per AST level, so every accepted formula stays
+# well inside the default recursion limit (1000).
 MAX_DEPTH = 100
 
 
@@ -112,6 +116,20 @@ class Exists(Formula):
     body: Formula
 
 
+# Binary connectives: token, precedence (higher binds tighter), right
+# associative.  The only statement of either; parser and printer read it.
+_BINARY = {And: ("&", 4, False), Or: ("|", 3, False), Implies: ("->", 2, True),
+           Iff: ("<->", 1, True)}
+_BINARY_TOKENS = {tok: (node, prec, right_assoc)
+                  for node, (tok, prec, right_assoc) in _BINARY.items()}
+# Prefix operators and quantifiers, which bind tighter than any binary
+# connective; a quantifier's token is followed by its variable.
+_PREFIX = {Not: "~", Box: "[]", Diamond: "<>", Forall: "forall", Exists: "exists"}
+_PREFIX_TOKENS = {tok: node for node, tok in _PREFIX.items()}
+_CONSTANTS = {Verum: "true", Falsum: "false"}
+_CONSTANT_TOKENS = {tok: node for node, tok in _CONSTANTS.items()}
+
+
 class ParseError(ValueError):
     def __init__(self, message, line=None, col=None, expected=()):
         self.line = line
@@ -188,18 +206,19 @@ class _Parser:
             raise ParseError(f"found {found!r}", line, col, expected=[value])
         return self._advance()
 
-    def _nested(self, parse_part):
-        """parse_part() one nesting level down, refusing to go past MAX_DEPTH
-        before the recursion could exhaust the interpreter's stack."""
+    def _nested(self, parse_part, *args):
+        """parse_part(*args) one nesting level down, refusing to go past
+        MAX_DEPTH before the recursion could exhaust the interpreter's
+        stack."""
         self.depth += 1
         if self.depth > MAX_DEPTH:
             raise _too_deep(*self._loc())
-        f = parse_part()
+        f = parse_part(*args)
         self.depth -= 1
         return f
 
     def parse(self) -> Formula:
-        f = self._iff()
+        f = self._binary()
         if self._peek() is not None:
             line, col = self._loc()
             raise ParseError(f"trailing input {self._peek()!r}", line, col)
@@ -207,51 +226,31 @@ class _Parser:
             raise _too_deep()
         return f
 
-    def _iff(self):
-        left = self._implies()
-        if self._peek() == "<->":
-            self._advance()
-            return Iff(left, self._nested(self._iff))
-        return left
-
-    def _implies(self):
-        left = self._or()
-        if self._peek() == "->":
-            self._advance()
-            return Implies(left, self._nested(self._implies))
-        return left
-
-    def _or(self):
-        left = self._and()
-        while self._peek() == "|":
-            self._advance()
-            left = Or(left, self._and())
-        return left
-
-    def _and(self):
+    def _binary(self, min_prec=1):
+        """A chain of binary connectives binding at least as tightly as
+        min_prec.  The right operand of a right-associative connective
+        is one nesting level down; a left-associative chain is a loop
+        and is measured after parsing (see parse)."""
         left = self._unary()
-        while self._peek() == "&":
+        while self._peek() in _BINARY_TOKENS:
+            node, prec, right_assoc = _BINARY_TOKENS[self._peek()]
+            if prec < min_prec:
+                break
             self._advance()
-            left = And(left, self._unary())
+            if right_assoc:
+                left = node(left, self._nested(self._binary, prec))
+            else:
+                left = node(left, self._binary(prec + 1))
         return left
 
     def _unary(self):
-        tok = self._peek()
-        if tok == "~":
-            self._advance()
-            return Not(self._nested(self._unary))
-        if tok == "[]":
-            self._advance()
-            return Box(self._nested(self._unary))
-        if tok == "<>":
-            self._advance()
-            return Diamond(self._nested(self._unary))
-        if tok in ("forall", "exists"):
-            self._advance()
-            var = self._variable()
-            body = self._nested(self._unary)
-            return Forall(var, body) if tok == "forall" else Exists(var, body)
-        return self._atomic()
+        node = _PREFIX_TOKENS.get(self._peek())
+        if node is None:
+            return self._atomic()
+        self._advance()
+        if node in (Forall, Exists):
+            return node(self._variable(), self._nested(self._unary))
+        return node(self._nested(self._unary))
 
     def _variable(self):
         line, col = self._loc()
@@ -269,19 +268,14 @@ class _Parser:
                              expected=["formula"])
         if tok == "(":
             self._advance()
-            f = self._nested(self._iff)
+            f = self._nested(self._binary)
             self._expect(")")
             return f
-        if tok == "true":
+        if tok in _CONSTANT_TOKENS:
             self._advance()
-            return Verum()
-        if tok == "false":
-            self._advance()
-            return Falsum()
+            return _CONSTANT_TOKENS[tok]()
         if not tok[0].isalpha() and tok[0] != "_":
             raise ParseError(f"found {tok!r}", line, col, expected=["formula"])
-        if tok in _KEYWORDS:
-            raise ParseError(f"found keyword {tok!r}", line, col, expected=["formula"])
         name = self._advance()
         if is_variable_name(name):
             self._expect("=")
@@ -310,7 +304,6 @@ def parse(text: str) -> Formula:
     return _Parser(_tokenize(text)).parse()
 
 
-_BINARY = {And: ("&", 4), Or: ("|", 3), Implies: ("->", 2), Iff: ("<->", 1)}
 _PREFIX_PREC = 6
 _EQ_PREC = 5
 _ATOM_PREC = 7
@@ -321,7 +314,7 @@ def _prec(f: Formula) -> int:
         return _BINARY[type(f)][1]
     if isinstance(f, Eq):
         return _EQ_PREC
-    if isinstance(f, (Not, Box, Diamond, Forall, Exists)):
+    if type(f) in _PREFIX:
         return _PREFIX_PREC
     return _ATOM_PREC
 
@@ -337,70 +330,58 @@ def render(f: Formula) -> str:
         return f.letter + (f"({','.join(f.args)})" if f.args else "")
     if isinstance(f, Eq):
         return f"{f.left} = {f.right}"
-    if isinstance(f, Verum):
-        return "true"
-    if isinstance(f, Falsum):
-        return "false"
-    if isinstance(f, Not):
-        return "~" + _wrap(f.body, _PREFIX_PREC)
-    if isinstance(f, Box):
-        return "[]" + _wrap(f.body, _PREFIX_PREC)
-    if isinstance(f, Diamond):
-        return "<>" + _wrap(f.body, _PREFIX_PREC)
-    if isinstance(f, Forall):
-        return f"forall {f.var} " + _wrap(f.body, _PREFIX_PREC)
-    if isinstance(f, Exists):
-        return f"exists {f.var} " + _wrap(f.body, _PREFIX_PREC)
-    op, prec = _BINARY[type(f)]
-    if isinstance(f, (And, Or)):  # left associative
-        return f"{_wrap(f.left, prec)} {op} {_wrap(f.right, prec + 1)}"
-    return f"{_wrap(f.left, prec + 1)} {op} {_wrap(f.right, prec)}"  # right assoc
+    if type(f) in _CONSTANTS:
+        return _CONSTANTS[type(f)]
+    if isinstance(f, (Forall, Exists)):
+        return f"{_PREFIX[type(f)]} {f.var} " + _wrap(f.body, _PREFIX_PREC)
+    if type(f) in _PREFIX:
+        return _PREFIX[type(f)] + _wrap(f.body, _PREFIX_PREC)
+    op, prec, right_assoc = _BINARY[type(f)]
+    # Only the operand on the grouping side may be the same connective
+    # unparenthesised.
+    left, right = (prec + 1, prec) if right_assoc else (prec, prec + 1)
+    return f"{_wrap(f.left, left)} {op} {_wrap(f.right, right)}"
+
+
+def _variables(f: Formula) -> tuple:
+    """The variables written at f's own node: an atom's arguments, an
+    equation's sides, a quantifier's binder."""
+    if isinstance(f, Atom):
+        return f.args
+    if isinstance(f, Eq):
+        return (f.left, f.right)
+    if isinstance(f, (Forall, Exists)):
+        return (f.var,)
+    return ()
 
 
 def free_variables(f: Formula) -> frozenset[str]:
-    if isinstance(f, Atom):
-        return frozenset(f.args)
-    if isinstance(f, Eq):
-        return frozenset((f.left, f.right))
-    if isinstance(f, (Verum, Falsum)):
-        return frozenset()
-    if isinstance(f, (Not, Box, Diamond)):
-        return free_variables(f.body)
+    inner = frozenset().union(*map(free_variables, _children(f)))
     if isinstance(f, (Forall, Exists)):
-        return free_variables(f.body) - {f.var}
-    return free_variables(f.left) | free_variables(f.right)
+        return inner - {f.var}
+    return inner.union(_variables(f))
 
 
 def all_variables(f: Formula) -> frozenset[str]:
     """Every variable occurring in f, bound or free (binders included)."""
-    if isinstance(f, Atom):
-        return frozenset(f.args)
-    if isinstance(f, Eq):
-        return frozenset((f.left, f.right))
-    if isinstance(f, (Verum, Falsum)):
-        return frozenset()
-    if isinstance(f, (Not, Box, Diamond)):
-        return all_variables(f.body)
-    if isinstance(f, (Forall, Exists)):
-        return all_variables(f.body) | {f.var}
-    return all_variables(f.left) | all_variables(f.right)
+    return frozenset(x for g in subformulas(f) for x in _variables(g))
 
 
 def _children(f: Formula) -> tuple:
-    if isinstance(f, (Not, Box, Diamond, Forall, Exists)):
+    if type(f) in _PREFIX:
         return (f.body,)
-    if isinstance(f, (And, Or, Implies, Iff)):
+    if type(f) in _BINARY:
         return (f.left, f.right)
     return ()
 
 
 def map_children(f: Formula, fn) -> Formula:
     """f with fn applied to each immediate subformula; a leaf unchanged."""
-    if isinstance(f, (Not, Box, Diamond)):
-        return type(f)(fn(f.body))
     if isinstance(f, (Forall, Exists)):
         return type(f)(f.var, fn(f.body))
-    if isinstance(f, (And, Or, Implies, Iff)):
+    if type(f) in _PREFIX:
+        return type(f)(fn(f.body))
+    if type(f) in _BINARY:
         return type(f)(fn(f.left), fn(f.right))
     return f
 
@@ -442,13 +423,8 @@ def letters(f: Formula) -> dict[str, int]:
 
 
 def modal_depth(f: Formula) -> int:
-    if isinstance(f, (Atom, Eq, Verum, Falsum)):
-        return 0
-    if isinstance(f, (Box, Diamond)):
-        return 1 + modal_depth(f.body)
-    if isinstance(f, (Not, Forall, Exists)):
-        return modal_depth(f.body)
-    return max(modal_depth(f.left), modal_depth(f.right))
+    depth = max(map(modal_depth, _children(f)), default=0)
+    return depth + 1 if isinstance(f, (Box, Diamond)) else depth
 
 
 @dataclass(frozen=True)
@@ -462,27 +438,20 @@ class FragmentReport:
     max_letter_arity: int
 
     def to_dict(self) -> dict:
-        return {
-            "is_monadic": self.is_monadic,
-            "is_monodic": self.is_monodic,
-            "is_positive": self.is_positive,
-            "has_equality": self.has_equality,
-            "variable_count": self.variable_count,
-            "modal_depth": self.modal_depth,
-            "max_letter_arity": self.max_letter_arity,
-        }
+        return asdict(self)
 
 
 def classify(f: Formula) -> FragmentReport:
     """Compute the fragment membership report for f."""
     arity = max(letters(f).values(), default=0)
-    monodic = all(
-        len(free_variables(g.body)) <= 1
-        for g in subformulas(f)
-        if isinstance(g, (Box, Diamond))
-    )
-    positive = not any(isinstance(g, (Not, Falsum)) for g in subformulas(f))
-    has_eq = any(isinstance(g, Eq) for g in subformulas(f))
+    monodic, positive, has_eq = True, True, False
+    for g in subformulas(f):
+        if isinstance(g, (Box, Diamond)):
+            monodic = monodic and len(free_variables(g)) <= 1
+        elif isinstance(g, (Not, Falsum)):
+            positive = False
+        elif isinstance(g, Eq):
+            has_eq = True
     return FragmentReport(
         is_monadic=arity <= 1,
         is_monodic=monodic,
@@ -495,24 +464,17 @@ def classify(f: Formula) -> FragmentReport:
 
 
 def to_dict(f: Formula) -> dict:
-    """JSON-friendly nested representation of the AST."""
+    """JSON-friendly nested representation of the AST: the node's name
+    (a constant's token, else its class's), its own fields, and its
+    subformulas as ``body`` or ``left`` / ``right``."""
+    out = {"node": _CONSTANTS.get(type(f), type(f).__name__.lower())}
     if isinstance(f, Atom):
-        return {"node": "atom", "letter": f.letter, "args": list(f.args)}
-    if isinstance(f, Eq):
-        return {"node": "eq", "left": f.left, "right": f.right}
-    if isinstance(f, Verum):
-        return {"node": "true"}
-    if isinstance(f, Falsum):
-        return {"node": "false"}
-    if isinstance(f, Not):
-        return {"node": "not", "body": to_dict(f.body)}
-    if isinstance(f, Box):
-        return {"node": "box", "body": to_dict(f.body)}
-    if isinstance(f, Diamond):
-        return {"node": "diamond", "body": to_dict(f.body)}
-    if isinstance(f, Forall):
-        return {"node": "forall", "var": f.var, "body": to_dict(f.body)}
-    if isinstance(f, Exists):
-        return {"node": "exists", "var": f.var, "body": to_dict(f.body)}
-    name = {And: "and", Or: "or", Implies: "implies", Iff: "iff"}[type(f)]
-    return {"node": name, "left": to_dict(f.left), "right": to_dict(f.right)}
+        out.update(letter=f.letter, args=list(f.args))
+    elif isinstance(f, Eq):
+        out.update(left=f.left, right=f.right)
+    elif isinstance(f, (Forall, Exists)):
+        out["var"] = f.var
+    children = list(map(to_dict, _children(f)))
+    out.update(zip(("body",) if len(children) == 1 else ("left", "right"),
+                   children))
+    return out

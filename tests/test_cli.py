@@ -68,6 +68,14 @@ def test_translate_positivize(capsys):
     assert out.strip() == "(Q1(x) & Q2(y) -> p_neg) | q_aux -> p_pos"
 
 
+def test_translate_warning_is_one_line(capsys):
+    code, out, err = run(capsys, "translate", "--variant", "pi", "~P(x,y)")
+    assert code == 0
+    assert out.strip() == "~((Q1(x) & Q2(y) -> p_neg) | q_aux)"
+    assert err == ("warning: positive-fragment variants expect a positive "
+                   "input; apply positivize first\n")
+
+
 def test_validate_clean(capsys, model_file):
     code, out, _ = run(capsys, "validate", "--model", model_file)
     assert code == 0
@@ -190,6 +198,21 @@ def test_experiment(capsys, tmp_path):
     assert payload["structure_count"] == 18
     assert payload["agreement"] == 18
     assert payload["disagreements"] == []
+
+
+def test_experiment_skips_sentence_the_trick_rejects(capsys, tmp_path):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("forall x forall y (P(x,y) -> x = y)\n"
+                      "exists x exists y P(x,y)\n")
+    code, out, _ = run(capsys, "experiment", "--variant", "d2", "--size", "2",
+                       "--json", str(corpus))
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["skipped"] == [{
+        "formula": "forall x forall y (P(x,y) -> x = y)",
+        "reason": "input to the trick must contain no equality atoms"}]
+    assert payload["corpus_size"] == 1
+    assert payload["agreement"] == 18
 
 
 def test_experiment_empty_corpus(capsys, tmp_path):
