@@ -447,9 +447,9 @@ def valid_in_model(m: Model, f: Formula | Compiled):
 
 
 def first_point(m: Model, compiled: Compiled, value: bool):
-    """The first (world, assignment) of m, worlds in frame order and
-    values in product order, at which compiled has truth value value;
-    None if there is none.  compiled must be of m's mode."""
+    """The first point (world, assignment) of m at which compiled
+    evaluates to value, worlds in frame order and values in product
+    order; None if there is none.  compiled must be of m's mode."""
     holds, free = compiled.holds, compiled.free
     # Points are drawn from D(w) and bind exactly the free variables, so
     # evaluate()'s per-point checks hold by construction.
