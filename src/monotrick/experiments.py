@@ -88,6 +88,12 @@ def trick_experiment(corpus, variant: Variant, size_bound: int) -> ExperimentRep
                     f"open formula; free: {sorted(free_variables(f))}")
             scheme = fresh_scheme(f)
             translated = kripke_trick(f, variant, scheme)
+            # The trick translates p, but no structure makes p true.
+            nullary = sorted(name for name, a in letters(f).items() if a == 0)
+            if nullary:
+                raise TranslationError(
+                    f"propositional letter {nullary[0]!r} is not interpreted "
+                    "by the structures")
         except TranslationError as exc:
             skipped.append({"formula": render(f), "reason": str(exc)})
             continue

@@ -35,9 +35,37 @@ per renaming of individuals:
   truth, so the renamed model is a hit exactly when the skipped one is.
   The first hit thus has no earlier renaming and is never skipped.
 
+They also skip what the formula cannot observe:
+
+- Equalities.  For a formula without ``=`` truth does not depend on the
+  equality, so of each valuation's equalities only the first one kept
+  above is checked.  It is the first hit's: an earlier equality of the
+  same valuation would be an earlier hit.
+- Twins.  For a formula without ``=`` whose letters are at most unary, a
+  valuation is skipped when an adjacent swap of one layer fixes it: its
+  two individuals exist in the same worlds and agree on every letter at
+  every world.  Deleting one of these twins (and renaming the later
+  individuals down) gives a model with a smaller domain at some worlds
+  and no larger one elsewhere, which comes earlier and has the same
+  truth values, since the formula cannot tell twins apart.  So the first
+  hit has no twins.
+- One world.  In modal mode ``decide_valid_over_frame`` checks a
+  formula without modalities on a one-world frame without edges first,
+  when fr has more worlds, and says valid if no model there falsifies
+  it.  Such a formula is true at a world exactly when it is true in the
+  world's one-world restriction, and copying a one-world countermodel to
+  every world of fr (constant domains, the same valuation and partition,
+  so eq1/eq2 heredity holds) gives a countermodel on fr.  Otherwise fr
+  is searched as before, for its first countermodel.  Intuitionistic
+  ``->``, ``~`` and ``forall`` look at successors, so that mode is
+  excluded.
+
 Under a step cap (``max_steps``) the skipped frames and models count no
 steps, so a capped search can give a definite answer where the full
-search would have run out of steps; it never gives a different one.
+search would have run out of steps; it never gives a different one.  The
+one-world check counts up to the cap on its own, and the search of fr
+after it counts from zero again, so that search gives a capped decide
+the verdict it gave without the check.
 """
 
 from __future__ import annotations
@@ -55,7 +83,7 @@ from .semantics import (
 from .syntax import (
     And, Atom, Box, Diamond, Eq, Exists, Falsum, Forall, Formula, Iff,
     Implies, Not, Or, Verum, classify, free_variables, letters, modal_depth,
-    parse,
+    parse, subformulas,
 )
 from .translations import ClassicalStructure
 
@@ -472,12 +500,17 @@ def _equality_renamings(frame: Frame, doms: tuple, principle: str) -> list:
 
 def _models(frame: Frame, letter_arities: dict, domain_bound: int, mode: str,
             eq_principle: str, constant_domains: bool,
-            counter: _StepCounter | None, leaders_only: bool):
+            counter: _StepCounter | None, leaders_only: bool,
+            sees_equality: bool = True):
     """The models of enumerate_models, in its order.  With leaders_only,
     skip each model that swapping two adjacent individuals of one domain
-    layer turns into a model that comes earlier (see the module
-    docstring); every step counted is a model yielded."""
+    layer turns into a model that comes earlier, and for a formula without
+    ``=`` (not sees_equality) keep one equality per valuation and, if the
+    letters are at most unary, skip valuations with twin individuals (see
+    the module docstring); every step counted is a model yielded."""
     hereditary = mode == "int"
+    one_equality = leaders_only and not sees_equality
+    no_twins = one_equality and max(letter_arities.values(), default=0) <= 1
     for domains in _domain_assignments(frame, domain_bound, constant_domains):
         partitions, options = _equalities(frame, domains, eq_principle)
         # Identity partitions are congruent with every valuation.
@@ -509,6 +542,8 @@ def _models(frame: Frame, letter_arities: dict, domain_bound: int, mode: str,
                 if renamed == index:
                     ties.append(eq_table)
             else:
+                if ties and no_twins:
+                    continue
                 valuation = {
                     w: {name: c[i][w] for name, c, i in zip(names, choices, index)}
                     for w in frame.worlds
@@ -528,6 +563,8 @@ def _models(frame: Frame, letter_arities: dict, domain_bound: int, mode: str,
                         mode=mode,
                         constant_domains=constant_domains,
                     )
+                    if one_equality:
+                        break
 
 
 def enumerate_models(frame: Frame, letter_arities: dict, domain_bound: int,
@@ -597,6 +634,7 @@ def sat_bounded(f: Formula, cls: FrameClass, world_bound: int, domain_bound: int
               "constant_domains": constant_domains}
     counter = _StepCounter(max_steps)
     letter_arities = letters(f)
+    sees_equality = any(isinstance(g, Eq) for g in subformulas(f))
     compiled = compile_formula(f, mode)
 
     try:
@@ -604,7 +642,7 @@ def sat_bounded(f: Formula, cls: FrameClass, world_bound: int, domain_bound: int
                                        cls):
             for model in _models(frame, letter_arities, domain_bound, mode,
                                  eq_principle, constant_domains, counter,
-                                 leaders_only=True):
+                                 True, sees_equality):
                 hit = first_point(model, compiled, True)
                 if hit is not None:
                     w, sigma = hit
@@ -640,27 +678,45 @@ def decide_valid_over_frame(fr: Frame, f: Formula, domain_bound: int | None = No
               "eq_principle": eq_principle, "constant_domains": constant_domains,
               "domain_bound_heuristic": heuristic}
     warnings_list = []
-    if not classify(f).is_monadic:
+    report = classify(f)
+    if not report.is_monadic:
         warnings_list.append(
             "formula is not monadic; the fixed-frame decidability "
             "guarantee does not apply")
-    counter = _StepCounter(max_steps)
     letter_arities = letters(f)
     compiled = compile_formula(f, mode)
 
-    try:
-        for model in _models(fr, letter_arities, domain_bound, mode,
+    def countermodel(frame):
+        """The first model on frame that falsifies f, with its point,
+        counting max_steps from zero; None if there is none."""
+        counter = _StepCounter(max_steps)
+        for model in _models(frame, letter_arities, domain_bound, mode,
                              eq_principle, constant_domains, counter,
-                             leaders_only=True):
+                             True, report.has_equality):
             ok, witness = valid_in_model(model, compiled)
             if not ok:
-                w, sigma = witness
-                return Verdict("countermodel", bounds, model=model, world=w,
-                               assignment=sigma, warnings=warnings_list)
+                return model, witness
+        return None
+
+    if mode == "modal" and report.modal_depth == 0 and len(fr.worlds) > 1:
+        # Valid on fr iff valid on one world (see the module docstring).
+        # A countermodel there, or a spent cap, leaves the verdict to the
+        # search of fr below, which finds its first countermodel.
+        try:
+            if countermodel(Frame(fr.worlds[:1], frozenset())) is None:
+                return Verdict("valid", bounds, warnings=warnings_list)
+        except StepLimitExceeded:
+            pass
+    try:
+        hit = countermodel(fr)
     except StepLimitExceeded:
         return Verdict("bound_exhausted", bounds | {"max_steps": max_steps},
                        warnings=warnings_list)
-    return Verdict("valid", bounds, warnings=warnings_list)
+    if hit is None:
+        return Verdict("valid", bounds, warnings=warnings_list)
+    model, (w, sigma) = hit
+    return Verdict("countermodel", bounds, model=model, world=w,
+                   assignment=sigma, warnings=warnings_list)
 
 
 # ---------------------------------------------------------------------------

@@ -136,7 +136,7 @@ class ParseError(ValueError):
         self.col = col
         self.expected = tuple(expected)
         where = f" at line {line}, column {col}" if line is not None else ""
-        hint = f" (expected one of: {', '.join(self.expected)})" if self.expected else ""
+        hint = f" (expected {' or '.join(self.expected)})" if self.expected else ""
         super().__init__(f"{message}{where}{hint}")
 
 
@@ -199,11 +199,16 @@ class _Parser:
         self.pos += 1
         return tok.value
 
+    def _unexpected(self, expected: str) -> ParseError:
+        """The error for the current token, or the end of input, where
+        expected should come."""
+        tok = self._peek()
+        found = "unexpected end of input" if tok is None else f"found {tok!r}"
+        return ParseError(found, *self._loc(), expected=[expected])
+
     def _expect(self, value):
         if self._peek() != value:
-            line, col = self._loc()
-            found = self._peek() or "end of input"
-            raise ParseError(f"found {found!r}", line, col, expected=[value])
+            raise self._unexpected(repr(value))
         return self._advance()
 
     def _nested(self, parse_part, *args):
@@ -253,19 +258,16 @@ class _Parser:
         return node(self._nested(self._unary))
 
     def _variable(self):
-        line, col = self._loc()
         tok = self._peek()
         if tok is None or not tok[0].isalpha() or not is_variable_name(tok):
-            raise ParseError(f"found {tok or 'end of input'!r}", line, col,
-                             expected=["variable"])
+            raise self._unexpected("variable")
         return self._advance()
 
     def _atomic(self):
         tok = self._peek()
         line, col = self._loc()
         if tok is None:
-            raise ParseError("unexpected end of input", line, col,
-                             expected=["formula"])
+            raise self._unexpected("formula")
         if tok == "(":
             self._advance()
             f = self._nested(self._binary)
@@ -275,7 +277,7 @@ class _Parser:
             self._advance()
             return _CONSTANT_TOKENS[tok]()
         if not tok[0].isalpha() and tok[0] != "_":
-            raise ParseError(f"found {tok!r}", line, col, expected=["formula"])
+            raise self._unexpected("formula")
         name = self._advance()
         if is_variable_name(name):
             self._expect("=")

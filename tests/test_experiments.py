@@ -81,6 +81,18 @@ def test_inadmissible_formulas_are_skipped():
     assert len(report.skipped) == 3
 
 
+def test_sentence_with_propositional_letter_is_skipped():
+    # No structure makes p true, so its agreements would be unchecked.
+    report = trick_experiment(["exists x exists y P(x,y) | p",
+                               "forall x P(x,x)"], Variant.DIAMOND2, 2)
+    assert report.corpus_size == 1
+    assert report.agreement == report.structure_count == 18
+    assert report.skipped == [{
+        "formula": "exists x exists y P(x,y) | p",
+        "reason": "propositional letter 'p' is not interpreted by the "
+                  "structures"}]
+
+
 def test_positive_variants_rejected():
     with pytest.raises(ValueError):
         trick_experiment([], Variant.POSITIVE_IMP, 1)

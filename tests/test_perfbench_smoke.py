@@ -1,5 +1,5 @@
 """Smoke test of the benchmark at its smallest size: the first batch of
-seed 1 of two perfbench workloads, played through ``cli.main`` in
+seed 1 of each perfbench workload, played through ``cli.main`` in
 process, must pass the benchmark's known-answer gate on every query."""
 
 import importlib
@@ -22,7 +22,8 @@ def workloads():
         sys.path.remove(str(PERFBENCH))
 
 
-@pytest.mark.parametrize("name", ("sat-classes", "decide-frame"))
+@pytest.mark.parametrize("name", ("sat-classes", "decide-frame",
+                                  "trick-faithfulness"))
 def test_first_batch_passes_the_gate(workloads, name, tmp_path):
     api = {module: importlib.import_module(f"monotrick.{module}")
            for module in MODULES}

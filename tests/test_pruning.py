@@ -1,8 +1,10 @@
 """Differential tests for the search shortcuts: frames searched once per
 isomorphism class and only when point-generated, intuitionistic searches
-on one world, models checked once per renaming of individuals, and
-equality relations built once per domain assignment.  Each is compared
-with a naive test-side reference."""
+on one world, models checked once per renaming of individuals, equality
+relations built once per domain assignment, and what a formula cannot
+observe skipped (the equality without ``=``, twin individuals without
+``=`` and binary letters, the frame's other worlds without modalities).
+Each is compared with a naive test-side reference."""
 
 import json
 from collections import Counter
@@ -48,18 +50,19 @@ SAT_CASES = [
 ]
 
 
-def reference_sat(f, cls, world_bound, domain_bound, mode, eq_principle):
+def reference_sat(f, cls, world_bound, domain_bound, mode, eq_principle,
+                  constant=False):
     """sat_bounded over every labelled frame, checking points through the
     checked evaluate()."""
     if mode == "int":
         cls = cls.with_properties("reflexive", "transitive")
     bounds = {"world_bound": world_bound, "domain_bound": domain_bound,
               "mode": mode, "eq_principle": eq_principle,
-              "constant_domains": False}
+              "constant_domains": constant}
     free = sorted(free_variables(f))
     for fr in enumerate_frames(world_bound, cls):
         for m in enumerate_models(fr, letters(f), domain_bound, mode,
-                                  eq_principle):
+                                  eq_principle, constant):
             for w in fr.worlds:
                 for values in product(m.domains[w], repeat=len(free)):
                     sigma = dict(zip(free, values))
@@ -222,14 +225,29 @@ DECIDE_FRAMES = [*enumerate_frames(2), CHAIN3, PREORDER3]
 # Formulas whose countermodels need two individuals at one world, so that
 # the first one often has two individuals present in the same worlds,
 # next to formulas valid in every model (whose search walks every model).
+# Then formulas that cannot observe part of a model: without a modality
+# (the frame's other worlds, in modal mode), without = (the equality) and,
+# with letters at most unary, without = (twin individuals).  Some need an
+# equality, a second individual or an edge for their first countermodel.
 DECIDE_CASES = {
     "modal": ("forall x forall y (x = y) | <>exists x Q(x)",
               "[]false | forall x forall y (Q(x) <-> Q(y))",
               "~(x = y) -> [](~(x = y) & (Q(x) -> Q(y)))",
-              "x = y -> (Q(x) <-> Q(y))"),
+              "x = y -> (Q(x) <-> Q(y))",
+              "forall x forall y (x = y) | p",
+              "forall x Q(x) | exists x ~Q(x)",
+              "exists x Q(x) -> forall x Q(x)",
+              "forall x (Q(x) -> []Q(x))",
+              "[]forall x Q(x) -> forall x []Q(x)",
+              "~(forall x exists y P(x,y) & forall x ~P(x,x))"),
     "int": ("exists x exists y ~(x = y) -> forall x (Q(x) | ~Q(x))",
             "forall x forall y (x = y | ~(x = y) | Q(x))",
-            "x = y -> (Q(x) -> Q(y))"),
+            "x = y -> (Q(x) -> Q(y))",
+            "p | ~p",
+            "forall x (Q(x) | ~Q(x))",
+            "forall x Q(x) -> exists x Q(x)",
+            "x = y | ~(x = y)",
+            "~(forall x exists y P(x,y) & forall x ~P(x,x))"),
 }
 
 
@@ -238,14 +256,17 @@ def reference_decide(fr, f, domain_bound, mode, eq_principle, constant):
     bounds = {"domain_bound": domain_bound, "mode": mode,
               "eq_principle": eq_principle, "constant_domains": constant,
               "domain_bound_heuristic": False}
+    warnings = [] if max(letters(f).values(), default=0) <= 1 else [
+        "formula is not monadic; the fixed-frame decidability guarantee "
+        "does not apply"]
     for m in enumerate_models(fr, letters(f), domain_bound, mode,
                               eq_principle, constant):
         ok, witness = valid_in_model(m, f)
         if not ok:
             w, sigma = witness
             return Verdict("countermodel", bounds, model=m, world=w,
-                           assignment=sigma).to_json()
-    return Verdict("valid", bounds).to_json()
+                           assignment=sigma, warnings=warnings).to_json()
+    return Verdict("valid", bounds, warnings=warnings).to_json()
 
 
 @pytest.mark.parametrize("constant", (False, True))
@@ -263,6 +284,60 @@ def test_decide_matches_unpruned_reference(mode, eq_principle, constant):
                 assert got == reference_decide(fr, f, domain, mode,
                                                eq_principle, constant), \
                     (sorted(fr.access), text, domain)
+
+
+# The same kinds of formula for sat, on up to two worlds with constant and
+# expanding domains: without = (monadic, or with a binary letter) and,
+# as controls, with =.
+UNOBSERVED_SAT = {
+    "modal": ("exists x exists y (Q(x) & ~Q(y))",
+              "exists x (Q(x) & <>~Q(x)) & forall x forall y (Q(x) <-> Q(y))",
+              "forall x exists y P(x,y) & forall x ~P(x,x)",
+              "~(x = y) & <>(x = y)"),
+    "int": ("~~exists x Q(x) & ~exists x Q(x)",
+            "exists x exists y ~(Q(x) <-> Q(y))",
+            "forall x exists y P(x,y) & forall x ~P(x,x)",
+            "~(x = y) & ~~(x = y)"),
+}
+
+
+@pytest.mark.parametrize("constant", (False, True))
+@pytest.mark.parametrize("eq_principle", PRINCIPLES)
+@pytest.mark.parametrize("mode", ("modal", "int"))
+def test_sat_skipping_unobserved_matches_reference(mode, eq_principle,
+                                                   constant):
+    for text in UNOBSERVED_SAT[mode]:
+        f = parse(text)
+        for cls_text in CLASSES:
+            cls = parse_frame_class(cls_text)
+            for domain in (1, 2, 3):
+                got = sat_bounded(f, cls, 2, domain, mode, eq_principle,
+                                  constant).to_json()
+                assert got == reference_sat(f, cls, 2, domain, mode,
+                                            eq_principle, constant), \
+                    (cls_text, text, domain)
+
+
+def test_modality_free_valid_decide_checks_one_world(monkeypatch):
+    """A valid formula without modalities is checked on the one-world
+    frame only, once per model without twins: for one unary letter, one
+    model per non-empty set of the two letter patterns."""
+    checked = []
+
+    def recording(m, compiled):
+        checked.append(m)
+        return valid_in_model(m, compiled)
+    monkeypatch.setattr(search, "valid_in_model", recording)
+    f = parse("forall x Q(x) | exists x ~Q(x)")
+    two_worlds = [fr for fr in enumerate_frames(2) if len(fr.worlds) == 2]
+    for fr in (CHAIN3, PREORDER3, *two_worlds):
+        for eq_principle in PRINCIPLES:
+            checked.clear()
+            verdict = decide_valid_over_frame(fr, f, 3, "modal", eq_principle)
+            assert verdict.outcome == "valid"
+            assert [m.frame.worlds for m in checked] == \
+                [fr.worlds[:1]] * 3, sorted(fr.access)
+            assert all(not m.frame.access for m in checked)
 
 
 def _swapped(m, a, b):
@@ -309,14 +384,17 @@ def leader_models(fr, letter_arities, domain_bound, mode, eq_principle,
 def test_decide_checks_each_lex_leader_once(monkeypatch, mode, eq_principle,
                                             constant):
     """On a valid formula decide checks exactly the lex-leaders among the
-    models, in order, and fewer models than enumerate_models yields."""
+    models, in order, and fewer models than enumerate_models yields.  The
+    formulas have = (which observes the equality and twins), and the modal
+    one a modality (which observes the frame)."""
     checked = []
 
     def recording(m, compiled):
         checked.append(model_to_dict(m))
         return valid_in_model(m, compiled)
     monkeypatch.setattr(search, "valid_in_model", recording)
-    f = parse("x = y -> (Q(x) -> Q(y))")
+    f = parse("x = y -> [](Q(x) -> Q(y))" if mode == "modal"
+              else "x = y -> (Q(x) -> Q(y))")
     total = pruned = 0
     for fr in (PREORDER3, *enumerate_frames(2, PREORDERS)):
         for domain in (2, 3):
@@ -350,6 +428,9 @@ CAPPED_QUERIES = [
     lambda cap: decide_valid_over_frame(
         CHAIN3, parse("x = y -> (<>Q(x) <-> <>Q(y))"), 2, eq_principle="eq2",
         max_steps=cap),
+    # Without modalities: a countermodel on one world, then on the frame.
+    lambda cap: decide_valid_over_frame(
+        CHAIN3, parse("exists x Q(x) -> forall x Q(x)"), 2, max_steps=cap),
 ]
 
 

@@ -59,6 +59,19 @@ class TestParse:
         assert info.value.line == 1
         assert info.value.col == 5
 
+    @pytest.mark.parametrize("text, message", [
+        ("(p & q", "unexpected end of input at line 1, column 7 "
+                   "(expected ')')"),
+        ("P(x,", "unexpected end of input at line 1, column 5 "
+                 "(expected variable)"),
+        ("p ->", "unexpected end of input at line 1, column 5 "
+                 "(expected formula)"),
+    ])
+    def test_end_of_input_is_not_a_token(self, text, message):
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert str(info.value) == message
+
     def test_arity_conflict(self):
         with pytest.raises(ArityConflictError):
             parse("P(x) & P(x,y)")
