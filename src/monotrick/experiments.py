@@ -11,13 +11,19 @@ isomorphism class is checked once, on its least-labelled member (least
 bit mask, bit n*a + b for the pair (a, b), as for frames in ``search``),
 and an agreement counts for every member.  A class that disagrees is
 expanded into its members, reported in ``enumerate_structures`` order.
+
+The classes are a table of plain ints (``_classes``), built once per
+process for each size bound and variant; the labelled structures are
+never all built.  d2 at size 4 (66,066 structures, 3,160 classes) takes
+about 0.25 s to tabulate (Python 3.11, one core of a 2-core host).
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass, field
-from itertools import combinations, product
+from functools import cache
+from itertools import combinations
 
 from .search import _least_labelled, _renamed_masks, classical_evaluate
 from .semantics import compile_formula
@@ -26,6 +32,40 @@ from .translations import (
     ClassicalStructure, TranslationError, Variant, build_companion_model,
     fresh_scheme, kripke_trick,
 )
+
+# A structure on the individuals 0..n-1 is numbered within its size by
+# its bits: bit n*a + b is the pair (a, b) for d2; for nd1 (symmetric,
+# irreflexive) bit i is the i-th edge of combinations(), both directions.
+# Its relation mask always has bit n*a + b for the pair (a, b).
+
+
+@cache
+def _edges(n: int) -> tuple:
+    """The relation mask of each edge of combinations(range(n), 2)."""
+    return tuple(1 << n * a + b | 1 << n * b + a
+                 for a, b in combinations(range(n), 2))
+
+
+def _bit_count(n: int, symmetric: bool) -> int:
+    return n * (n - 1) // 2 if symmetric else n * n
+
+
+def _relation_mask(n: int, bits: int, symmetric: bool) -> int:
+    if not symmetric:
+        return bits
+    return sum(edge for i, edge in enumerate(_edges(n)) if bits >> i & 1)
+
+
+def _bits(n: int, mask: int, symmetric: bool) -> int:
+    """Inverse of _relation_mask."""
+    if not symmetric:
+        return mask
+    return sum(1 << i for i, edge in enumerate(_edges(n)) if mask & edge)
+
+
+def _structure(n: int, mask: int) -> ClassicalStructure:
+    return ClassicalStructure(tuple(range(n)), frozenset(
+        divmod(i, n) for i in range(n * n) if mask >> i & 1))
 
 
 def enumerate_structures(max_size: int, symmetric_irreflexive: bool = False):
@@ -37,25 +77,27 @@ def enumerate_structures(max_size: int, symmetric_irreflexive: bool = False):
     if max_size < 1:
         raise ValueError("max_size must be >= 1")
     for n in range(1, max_size + 1):
-        domain = tuple(range(n))
-        if symmetric_irreflexive:  # bit i: the i-th edge of combinations()
-            cells = [((a, b), (b, a)) for a, b in combinations(domain, 2)]
-        else:  # bit n*a + b: the pair (a, b)
-            cells = [(p,) for p in product(domain, repeat=2)]
-        for mask in range(1 << len(cells)):
-            yield ClassicalStructure(domain, frozenset(
-                p for i, ps in enumerate(cells) if mask >> i & 1 for p in ps))
+        for bits in range(1 << _bit_count(n, symmetric_irreflexive)):
+            yield _structure(n, _relation_mask(n, bits, symmetric_irreflexive))
 
 
-def _classes(structures: list) -> list:
-    """(index of the least-labelled member, indices of all members) of
-    each isomorphism class of structures over domains 0..n-1, in the
-    order of the least-labelled members."""
-    index = {(len(s.domain), sum(1 << (len(s.domain) * a + b)
-                                 for a, b in s.relation)): i
-             for i, s in enumerate(structures)}
-    return [(i, [index[n, m] for m in {mask, *_renamed_masks(n, mask)}])
-            for (n, mask), i in index.items() if _least_labelled(n, mask)]
+@cache
+def _classes(max_size: int, symmetric: bool) -> tuple:
+    """The isomorphism classes of enumerate_structures(max_size, symmetric):
+    (structure count, classes).  A class is (structure_index, n, relation
+    mask) of its least-labelled member and the orbit size, the number of
+    its members; the classes come in the order of those members."""
+    if max_size < 1:
+        raise ValueError("max_size must be >= 1")
+    count, classes = 0, []
+    for n in range(1, max_size + 1):
+        for bits in range(1 << _bit_count(n, symmetric)):
+            mask = _relation_mask(n, bits, symmetric)
+            if _least_labelled(n, mask):
+                classes.append((count + bits, n, mask,
+                                len({mask, *_renamed_masks(n, mask)})))
+        count += 1 << _bit_count(n, symmetric)
+    return count, tuple(classes)
 
 
 @dataclass
@@ -100,15 +142,14 @@ def trick_experiment(corpus, variant: Variant, size_bound: int) -> ExperimentRep
         formulas.append((f, scheme, compile_formula(translated, "modal")))
 
     symmetric = variant is Variant.NEG_DIAMOND1
-    structures = list(enumerate_structures(size_bound, symmetric))
-    classes = _classes(structures)
+    structure_count, classes = _classes(size_bound, symmetric)
+    representatives = [_structure(n, mask) for _, n, mask, _ in classes]
     agreement = 0
     disagreements = []
     for f, scheme, translated in formulas:
         binary = next((name for name, a in letters(f).items() if a == 2), None)
         wrong = []
-        for idx, members in classes:
-            s = structures[idx]
+        for (idx, n, mask, orbit), s in zip(classes, representatives):
             interp = {binary: s.relation} if binary else {}
             classical = classical_evaluate(s.domain, interp, {}, f)
             model, root = build_companion_model(s, variant, scheme)
@@ -117,11 +158,13 @@ def trick_experiment(corpus, variant: Variant, size_bound: int) -> ExperimentRep
             # hold by construction.
             modal = translated.holds(model, root, ())
             if classical == modal:
-                agreement += len(members)
+                agreement += orbit
             else:
-                wrong += ((i, classical, modal) for i in members)
-        for idx, classical, modal in sorted(wrong):
-            s = structures[idx]
+                offset = idx - _bits(n, mask, symmetric)  # of size n
+                wrong += ((offset + _bits(n, m, symmetric), n, m, classical,
+                           modal) for m in {mask, *_renamed_masks(n, mask)})
+        for idx, n, mask, classical, modal in sorted(wrong):
+            s = _structure(n, mask)
             disagreements.append({
                 "formula": render(f),
                 "structure": {"domain": list(s.domain),
@@ -133,7 +176,7 @@ def trick_experiment(corpus, variant: Variant, size_bound: int) -> ExperimentRep
     return ExperimentReport(
         variant=variant.value,
         corpus_size=len(formulas),
-        structure_count=len(structures),
+        structure_count=structure_count,
         agreement=agreement,
         disagreements=disagreements,
         skipped=skipped,

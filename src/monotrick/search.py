@@ -59,13 +59,21 @@ They also skip what the formula cannot observe:
   is searched as before, for its first countermodel.  Intuitionistic
   ``->``, ``~`` and ``forall`` look at successors, so that mode is
   excluded.
+- One world for ``sat_bounded`` too.  In modal mode a formula without
+  modalities is checked on the one-world frame without edges first, and
+  is unsatisfiable within the bounds if no model there satisfies it,
+  whatever the class: a witness on any frame restricts to one on its
+  world alone (the same domain, valuation and partition there; one world
+  without edges has no heredity to keep).  Otherwise the frames are
+  searched as before, for the first witness.  A capped ``sat_bounded``
+  makes no such check and searches the frames as before.
 
 Under a step cap (``max_steps``) the skipped frames and models count no
 steps, so a capped search can give a definite answer where the full
-search would have run out of steps; it never gives a different one.  The
-one-world check counts up to the cap on its own, and the search of fr
-after it counts from zero again, so that search gives a capped decide
-the verdict it gave without the check.
+search would have run out of steps; it never gives a different one.
+``decide_valid_over_frame``'s one-world check counts up to the cap on its
+own, and the search of fr after it counts from zero again, so that search
+gives a capped decide the verdict it gave without the check.
 """
 
 from __future__ import annotations
@@ -82,7 +90,7 @@ from .semantics import (
 )
 from .syntax import (
     And, Atom, Box, Diamond, Eq, Exists, Falsum, Forall, Formula, Iff,
-    Implies, Not, Or, Verum, classify, free_variables, letters, modal_depth,
+    Implies, Not, Or, Verum, free_variables, letters, modal_depth,
     parse, subformulas,
 )
 from .translations import ClassicalStructure
@@ -613,6 +621,18 @@ class Verdict:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
+def _observed(f: Formula) -> tuple[bool, bool]:
+    """Whether f has an equality atom, and whether it has a modality: the
+    parts of a model the searches vary only when f can observe them."""
+    equality = modality = False
+    for g in subformulas(f):
+        if isinstance(g, Eq):
+            equality = True
+        elif isinstance(g, (Box, Diamond)):
+            modality = True
+    return equality, modality
+
+
 def sat_bounded(f: Formula, cls: FrameClass, world_bound: int, domain_bound: int,
                 mode: str = "modal", eq_principle: str = "eq3",
                 constant_domains: bool = False,
@@ -623,7 +643,9 @@ def sat_bounded(f: Formula, cls: FrameClass, world_bound: int, domain_bound: int
     the point-generated frames of one isomorphism class each are visited
     (see the module docstring), and in intuitionistic mode only the
     one-world frame: a final cluster above the witness world collapses
-    onto it.  The verdict still reports the requested world_bound.
+    onto it.  The verdict still reports the requested world_bound.  An
+    uncapped modal search of a formula without modalities first checks
+    one world, and stops there if nothing satisfies f.
     """
     if world_bound < 1 or domain_bound < 1:
         raise ValueError("bounds must be >= 1")
@@ -632,25 +654,39 @@ def sat_bounded(f: Formula, cls: FrameClass, world_bound: int, domain_bound: int
     bounds = {"world_bound": world_bound, "domain_bound": domain_bound,
               "mode": mode, "eq_principle": eq_principle,
               "constant_domains": constant_domains}
-    counter = _StepCounter(max_steps)
     letter_arities = letters(f)
-    sees_equality = any(isinstance(g, Eq) for g in subformulas(f))
+    sees_equality, sees_modality = _observed(f)
     compiled = compile_formula(f, mode)
 
-    try:
-        for frame in _generated_frames(1 if mode == "int" else world_bound,
-                                       cls):
+    def witness(frames):
+        """The first model on frames that satisfies f, with its point;
+        None if there is none."""
+        counter = _StepCounter(max_steps)
+        for frame in frames:
             for model in _models(frame, letter_arities, domain_bound, mode,
                                  eq_principle, constant_domains, counter,
                                  True, sees_equality):
                 hit = first_point(model, compiled, True)
                 if hit is not None:
-                    w, sigma = hit
-                    return Verdict("satisfiable", bounds, model=model, world=w,
-                                   assignment=sigma)
+                    return model, hit
+        return None
+
+    if mode == "modal" and not sees_modality and max_steps is None:
+        # Satisfiable in the class only if on one world (see the module
+        # docstring).  A witness there leaves the verdict to the search
+        # below, which finds the first witness.
+        if witness([Frame(("w0",), frozenset())]) is None:
+            return Verdict("unsatisfiable_up_to_bound", bounds)
+    try:
+        hit = witness(_generated_frames(1 if mode == "int" else world_bound,
+                                        cls))
     except StepLimitExceeded:
         return Verdict("bound_exhausted", bounds | {"max_steps": max_steps})
-    return Verdict("unsatisfiable_up_to_bound", bounds)
+    if hit is None:
+        return Verdict("unsatisfiable_up_to_bound", bounds)
+    model, (w, sigma) = hit
+    return Verdict("satisfiable", bounds, model=model, world=w,
+                   assignment=sigma)
 
 
 def default_domain_bound(f: Formula) -> int:
@@ -678,12 +714,12 @@ def decide_valid_over_frame(fr: Frame, f: Formula, domain_bound: int | None = No
               "eq_principle": eq_principle, "constant_domains": constant_domains,
               "domain_bound_heuristic": heuristic}
     warnings_list = []
-    report = classify(f)
-    if not report.is_monadic:
+    letter_arities = letters(f)
+    if max(letter_arities.values(), default=0) > 1:
         warnings_list.append(
             "formula is not monadic; the fixed-frame decidability "
             "guarantee does not apply")
-    letter_arities = letters(f)
+    sees_equality, sees_modality = _observed(f)
     compiled = compile_formula(f, mode)
 
     def countermodel(frame):
@@ -692,13 +728,13 @@ def decide_valid_over_frame(fr: Frame, f: Formula, domain_bound: int | None = No
         counter = _StepCounter(max_steps)
         for model in _models(frame, letter_arities, domain_bound, mode,
                              eq_principle, constant_domains, counter,
-                             True, report.has_equality):
+                             True, sees_equality):
             ok, witness = valid_in_model(model, compiled)
             if not ok:
                 return model, witness
         return None
 
-    if mode == "modal" and report.modal_depth == 0 and len(fr.worlds) > 1:
+    if mode == "modal" and not sees_modality and len(fr.worlds) > 1:
         # Valid on fr iff valid on one world (see the module docstring).
         # A countermodel there, or a spent cap, leaves the verdict to the
         # search of fr below, which finds its first countermodel.

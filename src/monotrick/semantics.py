@@ -279,7 +279,10 @@ _NO_FACTS: dict = {}
 _NO_TUPLES: frozenset = frozenset()
 
 
-@lru_cache(maxsize=64)  # callers of evaluate() often loop over points
+# Callers of evaluate() loop over one formula's points (or alternate a
+# few formulas); the searches and the experiment compile once per query.
+# A small cache serves both and pins few closures.
+@lru_cache(maxsize=4)
 def compile_formula(f: Formula, mode: str) -> Compiled:
     """Compile f once into nested closures for evaluation in mode.
 

@@ -153,6 +153,9 @@ def _unfaithful(f, variant, names=None):
 @pytest.mark.parametrize("corpus, variant, size", [
     ("classical_corpus.txt", Variant.DIAMOND2, 3),
     ("graph_corpus.txt", Variant.NEG_DIAMOND1, 4),
+    # 1,099 structures; at five individuals too the edge order of the
+    # structures is not the order of their relation masks.
+    ("graph_corpus.txt", Variant.NEG_DIAMOND1, 5),
 ])
 def test_one_structure_per_class_matches_labelled_walk(monkeypatch, corpus,
                                                        variant, size):
@@ -176,3 +179,46 @@ def test_one_structure_per_class_matches_labelled_walk(monkeypatch, corpus,
     representatives = [s for s in enumerate_structures(
         size, variant is Variant.NEG_DIAMOND1) if _least_in_class(s)]
     assert visited == representatives * len(sentences)
+
+
+@pytest.mark.parametrize("symmetric, size", [(False, 3), (True, 5)])
+def test_class_table_matches_brute_force(symmetric, size):
+    """Every structure lies in exactly one class of the int table; the
+    representatives are least in their class and come in
+    enumerate_structures order; the orbit sizes sum to the count."""
+    for bound in range(1, size + 1):
+        structures = list(enumerate_structures(bound, symmetric))
+        count, classes = experiments._classes(bound, symmetric)
+        assert count == len(structures)
+        assert sum(orbit for *_, orbit in classes) == count
+        indices = [idx for idx, *_ in classes]
+        assert indices == sorted(indices)
+        assert indices == [i for i, s in enumerate(structures)
+                           if _least_in_class(s)]
+        where = {(len(s.domain), s.relation): i
+                 for i, s in enumerate(structures)}
+        seen = []
+        for idx, n, mask, orbit in classes:
+            s = structures[idx]
+            assert (len(s.domain), _mask(s)) == (n, mask)
+            members = {where[n, frozenset((p[a], p[b]) for a, b in s.relation)]
+                       for p in permutations(range(n))}
+            assert len(members) == orbit
+            seen += members
+        assert sorted(seen) == list(range(count))
+
+
+def test_experiment_repeats_under_unfaithful_translation(monkeypatch):
+    """The class table is cached per process: a second call, with its
+    disagreement expansions, reports exactly what the first did."""
+    monkeypatch.setattr(experiments, "kripke_trick", _unfaithful)
+    for corpus, variant, size in (("classical_corpus.txt", Variant.DIAMOND2, 2),
+                                  ("graph_corpus.txt", Variant.NEG_DIAMOND1, 4)):
+        sentences = read_corpus(corpus)
+        first, second = (trick_experiment(sentences, variant, size).to_dict()
+                         for _ in range(2))
+        assert first["disagreements"]
+        first.pop("wall_time")
+        second.pop("wall_time")
+        assert first == second
+

@@ -19,8 +19,8 @@ from monotrick.search import (
     eq_separation_search, frame_matches, parse_frame_class, sat_bounded,
 )
 from monotrick.semantics import (
-    Equality, Frame, Model, evaluate, model_to_dict, valid_in_model,
-    validate_model,
+    Equality, Frame, Model, evaluate, first_point, model_to_dict,
+    valid_in_model, validate_model,
 )
 from monotrick.syntax import free_variables, letters, parse
 
@@ -288,12 +288,17 @@ def test_decide_matches_unpruned_reference(mode, eq_principle, constant):
 
 # The same kinds of formula for sat, on up to two worlds with constant and
 # expanding domains: without = (monadic, or with a binary letter) and,
-# as controls, with =.
+# as controls, with =.  The modal ones without modalities, satisfiable or
+# not, are checked on one world first; the classes add one without the
+# one-world frame without edges (reflexive) and one without any frame.
 UNOBSERVED_SAT = {
     "modal": ("exists x exists y (Q(x) & ~Q(y))",
               "exists x (Q(x) & <>~Q(x)) & forall x forall y (Q(x) <-> Q(y))",
               "forall x exists y P(x,y) & forall x ~P(x,x)",
-              "~(x = y) & <>(x = y)"),
+              "~(x = y) & <>(x = y)",
+              "exists x (Q(x) & ~Q(x))",
+              "exists x exists y (~(x = y) & p) & forall x forall y (x = y)",
+              "~exists x ~(x = x) & ~p"),
     "int": ("~~exists x Q(x) & ~exists x Q(x)",
             "exists x exists y ~(Q(x) <-> Q(y))",
             "forall x exists y P(x,y) & forall x ~P(x,x)",
@@ -308,7 +313,7 @@ def test_sat_skipping_unobserved_matches_reference(mode, eq_principle,
                                                    constant):
     for text in UNOBSERVED_SAT[mode]:
         f = parse(text)
-        for cls_text in CLASSES:
+        for cls_text in (*CLASSES, "serial,irreflexive_transitive"):
             cls = parse_frame_class(cls_text)
             for domain in (1, 2, 3):
                 got = sat_bounded(f, cls, 2, domain, mode, eq_principle,
@@ -338,6 +343,27 @@ def test_modality_free_valid_decide_checks_one_world(monkeypatch):
             assert [m.frame.worlds for m in checked] == \
                 [fr.worlds[:1]] * 3, sorted(fr.access)
             assert all(not m.frame.access for m in checked)
+
+
+def test_modality_free_unsatisfiable_sat_checks_one_world(monkeypatch):
+    """An unsatisfiable formula without modalities is checked on the
+    one-world frame without edges only, in every class."""
+    checked = []
+
+    def recording(m, compiled, value):
+        checked.append(m)
+        return first_point(m, compiled, value)
+    monkeypatch.setattr(search, "first_point", recording)
+    f = parse("exists x (Q(x) & ~Q(x)) | (p & ~p)")
+    for cls_text in (*CLASSES, "serial,irreflexive_transitive"):
+        for eq_principle in PRINCIPLES:
+            checked.clear()
+            verdict = sat_bounded(f, parse_frame_class(cls_text), 3, 2,
+                                  "modal", eq_principle)
+            assert verdict.outcome == "unsatisfiable_up_to_bound"
+            assert checked
+            assert all(m.frame == Frame(("w0",), frozenset())
+                       for m in checked), cls_text
 
 
 def _swapped(m, a, b):

@@ -304,6 +304,21 @@ class TestValidInModel:
             valid_in_model(m, compile_formula(f, "modal"))
 
 
+def test_evaluate_over_points_hits_the_compile_cache():
+    m = simple_model(valuation={"w": {"Q": frozenset({("a",)})},
+                                "v": {"Q": frozenset({("b",)})}})
+    f = parse("Q(x) | <>Q(y)")
+    points = [(w, {"x": a, "y": b}) for w in m.frame.worlds
+              for a, b in product(m.domains[w], repeat=2)]
+    evaluate(m, *points[0], f)
+    before = compile_formula.cache_info()
+    for w, sigma in points:
+        evaluate(m, w, sigma, f)
+    after = compile_formula.cache_info()
+    assert after.misses == before.misses
+    assert after.hits - before.hits == len(points)
+
+
 def test_modal_dualities_pointwise():
     rng = random.Random(5)
     m = simple_model(valuation={
