@@ -49,31 +49,24 @@ They also skip what the formula cannot observe:
   and no larger one elsewhere, which comes earlier and has the same
   truth values, since the formula cannot tell twins apart.  So the first
   hit has no twins.
-- One world.  In modal mode ``decide_valid_over_frame`` checks a
-  formula without modalities on a one-world frame without edges first,
-  when fr has more worlds, and says valid if no model there falsifies
-  it.  Such a formula is true at a world exactly when it is true in the
-  world's one-world restriction, and copying a one-world countermodel to
-  every world of fr (constant domains, the same valuation and partition,
-  so eq1/eq2 heredity holds) gives a countermodel on fr.  Otherwise fr
-  is searched as before, for its first countermodel.  Intuitionistic
-  ``->``, ``~`` and ``forall`` look at successors, so that mode is
-  excluded.
-- One world for ``sat_bounded`` too.  In modal mode a formula without
-  modalities is checked on the one-world frame without edges first, and
-  is unsatisfiable within the bounds if no model there satisfies it,
-  whatever the class: a witness on any frame restricts to one on its
-  world alone (the same domain, valuation and partition there; one world
-  without edges has no heredity to keep).  Otherwise the frames are
-  searched as before, for the first witness.  A capped ``sat_bounded``
-  makes no such check and searches the frames as before.
+- One world.  In modal mode ``sat_bounded`` and
+  ``decide_valid_over_frame`` first scan a formula without modalities on
+  a one-world frame without edges, for a witness or a countermodel
+  respectively.  Such a formula is true at a world exactly when it is
+  true in the world's one-world restriction (the same domain, valuation
+  and partition; one world without edges has no heredity to keep).  So a
+  hit on any frame restricts to a hit on the one world, and if the one
+  world has none, the search stops there, whatever the frame or class.
+  If it has one, the frames are searched for their first hit.
+  Intuitionistic ``->``, ``~`` and ``forall`` look at successors, so that
+  mode is excluded.
 
 Under a step cap (``max_steps``) the skipped frames and models count no
 steps, so a capped search can give a definite answer where the full
-search would have run out of steps; it never gives a different one.
-``decide_valid_over_frame``'s one-world check counts up to the cap on its
-own, and the search of fr after it counts from zero again, so that search
-gives a capped decide the verdict it gave without the check.
+search would have run out of steps; it never gives a different one.  The
+one-world scan counts up to the cap on its own, and a scan of the frames
+after it counts from zero again, so the frames give a capped search the
+verdict they gave without the scan.
 """
 
 from __future__ import annotations
@@ -131,6 +124,10 @@ class FrameClass:
 
     def with_properties(self, *names: str) -> "FrameClass":
         return FrameClass(self.properties | set(names), self.alt_bound)
+
+
+# The frames of intuitionistic models.
+PREORDER = FrameClass(frozenset({"reflexive", "transitive"}))
 
 
 def parse_frame_class(text: str) -> FrameClass:
@@ -633,6 +630,40 @@ def _observed(f: Formula) -> tuple[bool, bool]:
     return equality, modality
 
 
+def _first_hit(frames, f: Formula, mode: str, domain_bound: int,
+               eq_principle: str, constant_domains: bool,
+               max_steps: int | None, point):
+    """The first model on frames for which point(model, compiled f)
+    returns a point, with that point; None if there is none.  Raises
+    StepLimitExceeded when the frames' models spend max_steps.
+
+    In modal mode a formula without modalities is first scanned on one
+    world without edges, with a step count of its own; if nothing is hit
+    there, nothing is hit on frames (see the module docstring)."""
+    letter_arities = letters(f)
+    sees_equality, sees_modality = _observed(f)
+    compiled = compile_formula(f, mode)
+
+    def scan(frames):
+        counter = _StepCounter(max_steps)
+        for frame in frames:
+            for model in _models(frame, letter_arities, domain_bound, mode,
+                                 eq_principle, constant_domains, counter,
+                                 True, sees_equality):
+                hit = point(model, compiled)
+                if hit is not None:
+                    return model, hit
+        return None
+
+    if mode == "modal" and not sees_modality:
+        try:
+            if scan([Frame(("w0",), frozenset())]) is None:
+                return None
+        except StepLimitExceeded:
+            pass
+    return scan(frames)
+
+
 def sat_bounded(f: Formula, cls: FrameClass, world_bound: int, domain_bound: int,
                 mode: str = "modal", eq_principle: str = "eq3",
                 constant_domains: bool = False,
@@ -643,43 +674,21 @@ def sat_bounded(f: Formula, cls: FrameClass, world_bound: int, domain_bound: int
     the point-generated frames of one isomorphism class each are visited
     (see the module docstring), and in intuitionistic mode only the
     one-world frame: a final cluster above the witness world collapses
-    onto it.  The verdict still reports the requested world_bound.  An
-    uncapped modal search of a formula without modalities first checks
-    one world, and stops there if nothing satisfies f.
+    onto it.  The verdict still reports the requested world_bound.
     """
     if world_bound < 1 or domain_bound < 1:
         raise ValueError("bounds must be >= 1")
     if mode == "int":
-        cls = cls.with_properties("reflexive", "transitive")
+        cls = cls.with_properties(*PREORDER.properties)
     bounds = {"world_bound": world_bound, "domain_bound": domain_bound,
               "mode": mode, "eq_principle": eq_principle,
               "constant_domains": constant_domains}
-    letter_arities = letters(f)
-    sees_equality, sees_modality = _observed(f)
-    compiled = compile_formula(f, mode)
-
-    def witness(frames):
-        """The first model on frames that satisfies f, with its point;
-        None if there is none."""
-        counter = _StepCounter(max_steps)
-        for frame in frames:
-            for model in _models(frame, letter_arities, domain_bound, mode,
-                                 eq_principle, constant_domains, counter,
-                                 True, sees_equality):
-                hit = first_point(model, compiled, True)
-                if hit is not None:
-                    return model, hit
-        return None
-
-    if mode == "modal" and not sees_modality and max_steps is None:
-        # Satisfiable in the class only if on one world (see the module
-        # docstring).  A witness there leaves the verdict to the search
-        # below, which finds the first witness.
-        if witness([Frame(("w0",), frozenset())]) is None:
-            return Verdict("unsatisfiable_up_to_bound", bounds)
+    frames = _generated_frames(1 if mode == "int" else world_bound, cls)
     try:
-        hit = witness(_generated_frames(1 if mode == "int" else world_bound,
-                                        cls))
+        hit = _first_hit(frames, f, mode, domain_bound, eq_principle,
+                         constant_domains, max_steps,
+                         lambda model, compiled: first_point(model, compiled,
+                                                             True))
     except StepLimitExceeded:
         return Verdict("bound_exhausted", bounds | {"max_steps": max_steps})
     if hit is None:
@@ -707,44 +716,21 @@ def decide_valid_over_frame(fr: Frame, f: Formula, domain_bound: int | None = No
         domain_bound = default_domain_bound(f)
     if domain_bound < 1:
         raise ValueError("domain_bound must be >= 1")
-    if mode == "int" and not frame_matches(
-            fr, FrameClass(frozenset({"reflexive", "transitive"}))):
+    if mode == "int" and not frame_matches(fr, PREORDER):
         raise ValueError("intuitionistic mode requires a preorder frame")
     bounds = {"domain_bound": domain_bound, "mode": mode,
               "eq_principle": eq_principle, "constant_domains": constant_domains,
               "domain_bound_heuristic": heuristic}
     warnings_list = []
-    letter_arities = letters(f)
-    if max(letter_arities.values(), default=0) > 1:
+    if max(letters(f).values(), default=0) > 1:
         warnings_list.append(
             "formula is not monadic; the fixed-frame decidability "
             "guarantee does not apply")
-    sees_equality, sees_modality = _observed(f)
-    compiled = compile_formula(f, mode)
-
-    def countermodel(frame):
-        """The first model on frame that falsifies f, with its point,
-        counting max_steps from zero; None if there is none."""
-        counter = _StepCounter(max_steps)
-        for model in _models(frame, letter_arities, domain_bound, mode,
-                             eq_principle, constant_domains, counter,
-                             True, sees_equality):
-            ok, witness = valid_in_model(model, compiled)
-            if not ok:
-                return model, witness
-        return None
-
-    if mode == "modal" and not sees_modality and len(fr.worlds) > 1:
-        # Valid on fr iff valid on one world (see the module docstring).
-        # A countermodel there, or a spent cap, leaves the verdict to the
-        # search of fr below, which finds its first countermodel.
-        try:
-            if countermodel(Frame(fr.worlds[:1], frozenset())) is None:
-                return Verdict("valid", bounds, warnings=warnings_list)
-        except StepLimitExceeded:
-            pass
     try:
-        hit = countermodel(fr)
+        hit = _first_hit([fr], f, mode, domain_bound, eq_principle,
+                         constant_domains, max_steps,
+                         lambda model, compiled: valid_in_model(model,
+                                                                compiled)[1])
     except StepLimitExceeded:
         return Verdict("bound_exhausted", bounds | {"max_steps": max_steps},
                        warnings=warnings_list)
@@ -833,8 +819,7 @@ def eq_separation_search(world_bound: int = 3, domain_bound: int = 2,
     found_32 = None
     found_21 = None
     for fr in _generated_frames(world_bound):
-        preorder = frame_matches(
-            fr, FrameClass(frozenset({"reflexive", "transitive"})))
+        preorder = frame_matches(fr, PREORDER)
         for mode, f in parsed:
             if found_32 is not None and found_21 is not None:
                 break

@@ -9,6 +9,10 @@ principles constrain how the partitions relate along accessibility:
 
 Formulas are evaluated by compiling them once into nested closures
 (``compile_formula``); ``evaluate`` is the checked one-shot entry point.
+There is one evaluator, the modal one: intuitionistic truth at a world
+of a preorder model is modal truth of the formula's Gödel translation
+(Gödel 1933; McKinsey and Tarski 1948), which puts a ``[]`` on each
+``~``, ``->``, ``<->`` and ``forall``.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from typing import Callable, NamedTuple
 
 from .syntax import (
     And, Atom, Box, Diamond, Eq, Exists, Falsum, Forall, Formula, Iff,
-    Implies, Not, Or, Verum, free_variables, letters,
+    Implies, Not, Or, Verum, free_variables, letters, map_children,
 )
 
 MODES = ("modal", "int")
@@ -288,14 +292,15 @@ def compile_formula(f: Formula, mode: str) -> Compiled:
 
     Variables become slots of a list: the free variables, sorted, come
     first; every quantifier occurrence owns one further slot, so binding
-    a variable never overwrites a value that is still in scope.
+    a variable never overwrites a value that is still in scope.  An
+    intuitionistic formula is compiled as its Gödel translation.
     """
     if mode not in MODES:
         raise EvaluationError(f"unknown mode {mode!r}")
     free = tuple(sorted(free_variables(f)))
     slots = {x: i for i, x in enumerate(free)}
     used = [len(free)]
-    root = _compile(f, mode == "modal", slots, used)
+    root = _compile(f if mode == "modal" else _goedel(f), slots, used)
     pad = (None,) * (used[0] - len(free))
 
     def holds(m, w, values):
@@ -303,9 +308,22 @@ def compile_formula(f: Formula, mode: str) -> Compiled:
     return Compiled(mode, free, holds)
 
 
-def _compile(f: Formula, modal: bool, slots: dict, used: list):
-    """Closure ev(m, w, env) for f; slots maps each variable in scope to
-    its index in env, and used[0] counts the slots handed out so far."""
+def _goedel(f: Formula) -> Formula:
+    """The Gödel translation of an intuitionistic formula: each ``~``,
+    ``->``, ``<->`` and ``forall`` under a ``[]``.  Atoms and ``=`` need
+    none, since they are hereditary along a preorder; ``&``, ``|`` and
+    ``exists`` are read at the world itself in both semantics."""
+    if isinstance(f, (Box, Diamond)):
+        raise EvaluationError(
+            "modal operators are not allowed in intuitionistic mode")
+    g = map_children(f, _goedel)
+    return Box(g) if isinstance(f, (Not, Implies, Iff, Forall)) else g
+
+
+def _compile(f: Formula, slots: dict, used: list):
+    """Closure ev(m, w, env) for the modal formula f; slots maps each
+    variable in scope to its index in env, and used[0] counts the slots
+    handed out so far."""
     if isinstance(f, Atom):
         letter = f.letter
         if not f.args:
@@ -337,7 +355,7 @@ def _compile(f: Formula, modal: bool, slots: dict, used: list):
     if isinstance(f, (Forall, Exists)):
         k = used[0]
         used[0] += 1
-        body = _compile(f.body, modal, {**slots, f.var: k}, used)
+        body = _compile(f.body, {**slots, f.var: k}, used)
         if isinstance(f, Exists):
             def ev(m, w, env):
                 for a in m.domains[w]:
@@ -345,36 +363,19 @@ def _compile(f: Formula, modal: bool, slots: dict, used: list):
                     if body(m, w, env):
                         return True
                 return False
-        elif modal:
+        else:
             def ev(m, w, env):
                 for a in m.domains[w]:
                     env[k] = a
                     if not body(m, w, env):
                         return False
                 return True
-        else:  # intuitionistic: every individual of every successor
-            def ev(m, w, env):
-                for v in m.frame.succ[w]:
-                    for a in m.domains[v]:
-                        env[k] = a
-                        if not body(m, v, env):
-                            return False
-                return True
         return ev
     if isinstance(f, (Not, Box, Diamond)):
-        body = _compile(f.body, modal, slots, used)
-        if isinstance(f, Not) and modal:
+        body = _compile(f.body, slots, used)
+        if isinstance(f, Not):
             def ev(m, w, env):
                 return not body(m, w, env)
-        elif isinstance(f, Not):  # intuitionistic: no successor satisfies
-            def ev(m, w, env):
-                for v in m.frame.succ[w]:
-                    if body(m, v, env):
-                        return False
-                return True
-        elif not modal:
-            raise EvaluationError(
-                "modal operators are not allowed in intuitionistic mode")
         elif isinstance(f, Box):
             def ev(m, w, env):
                 for v in m.frame.succ[w]:
@@ -390,32 +391,20 @@ def _compile(f: Formula, modal: bool, slots: dict, used: list):
         return ev
     if not isinstance(f, (And, Or, Implies, Iff)):
         raise EvaluationError(f"cannot evaluate node {type(f).__name__}")
-    left = _compile(f.left, modal, slots, used)
-    right = _compile(f.right, modal, slots, used)
+    left = _compile(f.left, slots, used)
+    right = _compile(f.right, slots, used)
     if isinstance(f, And):
         def ev(m, w, env):
             return left(m, w, env) and right(m, w, env)
     elif isinstance(f, Or):
         def ev(m, w, env):
             return left(m, w, env) or right(m, w, env)
-    elif modal and isinstance(f, Implies):
+    elif isinstance(f, Implies):
         def ev(m, w, env):
             return not left(m, w, env) or right(m, w, env)
-    elif modal:
+    else:
         def ev(m, w, env):
             return left(m, w, env) == right(m, w, env)
-    elif isinstance(f, Implies):  # intuitionistic: at every successor
-        def ev(m, w, env):
-            for v in m.frame.succ[w]:
-                if left(m, v, env) and not right(m, v, env):
-                    return False
-            return True
-    else:  # intuitionistic iff: both implications, i.e. agreement everywhere up
-        def ev(m, w, env):
-            for v in m.frame.succ[w]:
-                if left(m, v, env) != right(m, v, env):
-                    return False
-            return True
     return ev
 
 

@@ -66,29 +66,25 @@ class NamingScheme:
         return (self.q1, self.q2, self.q, self.p, self.q_prop)
 
 
+def _fresh(names: tuple, f: Formula) -> tuple:
+    """names, or else each of them suffixed ``_n`` for the least n >= 1
+    that keeps all of them out of the letters of f."""
+    used = letters(f).keys()
+    candidate, suffix = names, 0
+    while not used.isdisjoint(candidate):
+        suffix += 1
+        candidate = tuple(f"{n}_{suffix}" for n in names)
+    return candidate
+
+
 def fresh_scheme(f: Formula) -> NamingScheme:
     """Default naming scheme, suffixed to avoid the letters of f."""
-    used = set(letters(f))
-    base = NamingScheme()
-    if not used & set(base.names()):
-        return base
-    suffix = 1
-    while True:
-        candidate = NamingScheme(*(f"{n}_{suffix}" for n in base.names()))
-        if not used & set(candidate.names()):
-            return candidate
-        suffix += 1
+    return NamingScheme(*_fresh(NamingScheme().names(), f))
 
 
 def fresh_letter(f: Formula, base: str = "p_neg") -> str:
     """A propositional-letter name not occurring in f."""
-    used = set(letters(f))
-    if base not in used:
-        return base
-    suffix = 1
-    while f"{base}_{suffix}" in used:
-        suffix += 1
-    return f"{base}_{suffix}"
+    return _fresh((base,), f)[0]
 
 
 def positivize(f: Formula, fresh: str) -> Formula:

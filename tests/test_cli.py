@@ -120,8 +120,9 @@ def test_sat(capsys):
 
 
 def test_sat_step_cap(capsys, monkeypatch):
+    # <>false is unsatisfiable and modal, so no one-world scan settles it.
     monkeypatch.setenv("MONOTRICK_MAX_STEPS", "3")
-    code, out, _ = run(capsys, "sat", "--worlds", "3", "--domain", "2", "false")
+    code, out, _ = run(capsys, "sat", "--worlds", "3", "--domain", "2", "<>false")
     assert code == 3 and out.splitlines()[0] == "bound_exhausted"
 
 

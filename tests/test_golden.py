@@ -64,6 +64,10 @@ QUERIES = {
     "sat-modal-eq3-step-cap-12":
         _sat("exists x exists y (Q(x) & <>Q(y) & ~(x = y))", max_steps=12),
     "sat-modal-eq3-step-cap-exhausted":
+        _sat("<>false", worlds=3, max_steps=5),
+    # Without modalities the one-world scan, counting on its own, settles
+    # a capped search.
+    "sat-modal-eq3-step-cap-one-world":
         _sat("false", worlds=3, max_steps=5),
     "sat-modal-eq3-constant-domains":
         _sat("exists x <>~Q(x) & []exists y Q(y)", constant_domains=True),

@@ -366,6 +366,27 @@ def test_modality_free_unsatisfiable_sat_checks_one_world(monkeypatch):
                        for m in checked), cls_text
 
 
+def test_modality_free_capped_decide_counts_the_frame_alone(monkeypatch):
+    """The one-world scan counts the step cap on its own: the least cap
+    that gives a capped decide its countermodel is the number of models
+    checked on the frame itself."""
+    checked = []
+
+    def recording(m, compiled):
+        checked.append(m.frame)
+        return valid_in_model(m, compiled)
+    monkeypatch.setattr(search, "valid_in_model", recording)
+    f = parse("exists x Q(x) -> forall x Q(x)")
+    uncapped = decide_valid_over_frame(CHAIN3, f, 2)
+    on_frame = checked.count(CHAIN3)
+    assert uncapped.outcome == "countermodel"
+    assert 0 < on_frame < len(checked)
+    assert decide_valid_over_frame(CHAIN3, f, 2, max_steps=on_frame) \
+        .to_json() == uncapped.to_json()
+    assert decide_valid_over_frame(CHAIN3, f, 2, max_steps=on_frame - 1) \
+        .outcome == "bound_exhausted"
+
+
 def _swapped(m, a, b):
     """m with the individuals a and b swapped."""
     swap = {a: b, b: a}.get
@@ -457,6 +478,14 @@ CAPPED_QUERIES = [
     # Without modalities: a countermodel on one world, then on the frame.
     lambda cap: decide_valid_over_frame(
         CHAIN3, parse("exists x Q(x) -> forall x Q(x)"), 2, max_steps=cap),
+    # Without modalities, unsatisfiable: one world settles it.
+    lambda cap: sat_bounded(parse("exists x (Q(x) & ~Q(x)) | (p & ~p)"),
+                            FrameClass(), 3, 2, max_steps=cap),
+    # Without modalities, on a one-world frame: one world without edges,
+    # then the frame itself.
+    lambda cap: decide_valid_over_frame(
+        Frame(("w0",), frozenset({("w0", "w0")})),
+        parse("exists x Q(x) -> forall x Q(x)"), 3, max_steps=cap),
 ]
 
 

@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 
 from monotrick.search import (
@@ -129,7 +131,7 @@ class TestSatBounded:
         assert verdict.outcome == "unsatisfiable_up_to_bound"
 
     def test_step_cap(self):
-        verdict = sat_bounded(parse("false"), FrameClass(), 3, 2, max_steps=5)
+        verdict = sat_bounded(parse("<>false"), FrameClass(), 3, 2, max_steps=5)
         assert verdict.outcome == "bound_exhausted"
 
     def test_negative_step_cap_rejected(self):
@@ -186,6 +188,20 @@ class TestDecideValidOverFrame:
         verdict = decide_valid_over_frame(REFLEXIVE_POINT, f)
         assert verdict.outcome == "valid"
         assert verdict.bounds_used["domain_bound_heuristic"] is True
+
+    @pytest.mark.xfail(strict=True, reason="the default domain bound "
+                       "ignores the frame; a countermodel needs 5 individuals")
+    def test_default_bound_finds_five_type_countermodel(self):
+        # Five individuals of distinct types at w0 (whether Q holds of
+        # each at w0, w1 and w2) falsify the negated conjunction, so it is
+        # not valid on the 3-chain; the default bound, 2 * (1 + 1) = 4,
+        # has room for four.
+        types = [f"exists x ({a}Q(x) & {b}<>Q(x) & {c}<><>Q(x))"
+                 for a, b, c in product(("", "~"), repeat=3)][:5]
+        f = parse("~(" + " & ".join(types) + ")")
+        chain3 = frame(["w0", "w1", "w2"], [("w0", "w1"), ("w1", "w2")])
+        assert default_domain_bound(f) == 4
+        assert decide_valid_over_frame(chain3, f).outcome == "countermodel"
 
     def test_rejects_non_preorder_in_int_mode(self):
         with pytest.raises(ValueError):

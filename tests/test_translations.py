@@ -8,7 +8,8 @@ from monotrick.semantics import evaluate, validate_model
 from monotrick.syntax import classify, parse, render
 from monotrick.translations import (
     ClassicalStructure, NamingScheme, TranslationError, Variant,
-    build_companion_model, fresh_scheme, kripke_trick, positivize,
+    build_companion_model, fresh_letter, fresh_scheme, kripke_trick,
+    positivize,
 )
 
 
@@ -80,6 +81,14 @@ class TestKripkeTrick:
         assert scheme.q1 == "Q1_1"
         g = kripke_trick(parse("P(x,y)"), Variant.DIAMOND2, scheme)
         assert render(g) == "<>(Q1_1(x) & Q2_1(y))"
+        # The least suffix that frees every name; fresh_letter likewise.
+        f = parse("P(x,y) & Q1(z) & q_aux_1 & p_neg & p_neg_1 & p_pos_2")
+        assert fresh_scheme(f) == NamingScheme(
+            "Q1_2", "Q2_2", "Q_2", "p_neg_2", "q_aux_2")
+        assert fresh_scheme(parse("P(x,y) & R(z)")) == NamingScheme()
+        assert fresh_letter(f) == "p_neg_2"
+        assert fresh_letter(f, "p_pos") == "p_pos"
+        assert fresh_letter(parse("p_pos"), "p_pos") == "p_pos_1"
 
     def test_positive_variant_warns_on_negative_input(self):
         with pytest.warns(UserWarning):
