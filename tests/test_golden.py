@@ -29,6 +29,7 @@ CHAIN3 = Frame(("w0", "w1", "w2"), frozenset({("w0", "w1"), ("w1", "w2")}))
 PREORDER3 = Frame(("w0", "w1", "w2"), frozenset({
     ("w0", "w0"), ("w0", "w1"), ("w0", "w2"), ("w1", "w1"), ("w1", "w2"),
     ("w2", "w2")}))
+DISCRETE2 = Frame(("w0", "w1"), frozenset())
 
 
 def _sat(text, worlds=2, domain=2, cls="", **kwargs):
@@ -161,8 +162,20 @@ QUERIES = {
     "sat-int-eq2-two-individuals-domain3":
         _sat("exists x exists y (~(x = y) & Q(x) & ~Q(y))", domain=3,
              mode="int", eq_principle="eq2"),
+    # eq2 with the equality observed: a 3-world witness with two
+    # individuals that x = y must keep apart.
+    "sat-modal-eq2-three-worlds-two-individuals":
+        _sat("exists x exists y (~(x = y) & Q(x) & ~p & <>(~Q(x) & ~p) & "
+             "<>(p & Q(y)))", worlds=3, eq_principle="eq2"),
+    # Constant domains on a frame that is not connected: the first
+    # countermodel merges a0 and a1 at w0, which its failing world w1
+    # does not see.
+    "decide-modal-eq2-disconnected-constant-domains":
+        _decide(DISCRETE2, "x = y | ~q", constant_domains=True,
+                eq_principle="eq2"),
     "separate-2-2": _separate(2, 2),
     "separate-3-2": _separate(3, 2),
+    "separate-4-2": _separate(4, 2),
     "experiment-d2-classical-size3":
         _experiment("classical_corpus.txt", Variant.DIAMOND2, 3),
     "experiment-nd1-graph-size4":
