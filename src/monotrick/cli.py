@@ -4,6 +4,8 @@ Exit codes: 0 affirmative (valid / satisfiable / clean validation /
 true), 1 negative (countermodel, unsatisfiable, violations, false),
 2 usage or input error, 3 bound exhausted or resource cap hit,
 4 internal error (an unexpected exception; never a verdict),
+5 no countermodel up to a guessed domain bound (``decide`` without
+``--domain``; neither valid nor a countermodel),
 141 standard output closed before the output was written, e.g. by
 ``| head`` (128 + SIGPIPE, as POSIX tools report it; nothing is printed).
 Errors are reported on one line of standard error.
@@ -34,6 +36,7 @@ EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_EXHAUSTED = 3
 EXIT_INTERNAL = 4
+EXIT_NO_COUNTERMODEL = 5
 EXIT_BROKEN_PIPE = 141
 
 _VERDICT_EXIT = {
@@ -42,6 +45,7 @@ _VERDICT_EXIT = {
     "countermodel": EXIT_NEGATIVE,
     "unsatisfiable_up_to_bound": EXIT_NEGATIVE,
     "bound_exhausted": EXIT_EXHAUSTED,
+    "no_countermodel_up_to_bound": EXIT_NO_COUNTERMODEL,
 }
 
 

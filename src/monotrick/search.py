@@ -61,6 +61,27 @@ They also skip what the formula cannot observe:
   Intuitionistic ``->``, ``~`` and ``forall`` look at successors, so that
   mode is excluded.
 
+Equality under eq2.  Each world's eq2 equality is a congruence, and along
+an edge w -> v a and b in D(w) are equal at w exactly when they are at v,
+so a class at w lies in exactly one class at v: an eq2 model is a Kripke
+sheaf with injective transition maps, the same thing as a model with
+expanding domains and identity equality (Gabbay, Shehtman & Skvortsov,
+*Quantification in Nonclassical Logic*, 2009).  In the searches' layout,
+keep the least individual of each class.  Domains are prefixes of the
+pool a0, a1, ... and grow along edges, so the representatives at w are
+the representatives at v that lie in D(w); renaming them by rank gives
+prefix domains that grow along edges, an eq3 model on the same frame
+with the same truths.  Its domain is no larger at any world, and smaller
+at some world unless the equality is already the identity, so it comes
+earlier.  The first eq2 hit therefore has the identity equality and is
+the first eq3 hit with the principle relabelled, and the searches give
+eq2 the identity only.  The exception is constant domains on a frame
+that is not connected: the quotient's domain size can then differ
+between components, so it is no constant-domain model, and that case
+keeps every eq2 equality.  (With constant domains on a connected frame
+eq2 equalities agree at every world, and so do the quotient's sizes.)
+``enumerate_models`` yields every eq2 equality.
+
 Under a step cap (``max_steps``) the skipped frames and models count no
 steps, so a capped search can give a definite answer where the full
 search would have run out of steps; it never gives a different one.  The
@@ -249,6 +270,16 @@ def _point_generated(n: int, mask: int) -> bool:
     return full in reach
 
 
+def _connected(frame: Frame) -> bool:
+    """Whether every world reaches every other along edges taken in
+    either direction."""
+    seen = set(frame.worlds[:1])
+    for _ in frame.worlds:
+        seen |= {w for edge in frame.access if seen.intersection(edge)
+                 for w in edge}
+    return len(seen) == len(frame.worlds)
+
+
 def _renamed_masks(n: int, mask: int):
     """The frame's mask under each non-identity renaming of its worlds."""
     full = (1 << n) - 1
@@ -425,14 +456,10 @@ def _equalities(frame: Frame, domains: dict, principle: str):
 
     Returns (partitions, options): partitions[i] lists the partitions of
     the i-th world's domain; options holds (index of each world's
-    partition, Equality) in product order.  Under eq3 the one option is
-    the identity; principle "any" keeps every family.
+    partition, Equality) in product order.  Principle "any" keeps every
+    family.  eq3 has one option, the identity, which _models builds.
     """
     worlds = frame.worlds
-    if principle == "eq3":
-        identity = {w: identity_partition(domains[w]) for w in worlds}
-        return [[identity[w]] for w in worlds], \
-            [((0,) * len(worlds), Equality("eq3", identity))]
     partitions = [list(_set_partitions(tuple(sorted(domains[w]))))
                   for w in worlds]
     options = []
@@ -511,21 +538,30 @@ def _models(frame: Frame, letter_arities: dict, domain_bound: int, mode: str,
     skip each model that swapping two adjacent individuals of one domain
     layer turns into a model that comes earlier, and for a formula without
     ``=`` (not sees_equality) keep one equality per valuation and, if the
-    letters are at most unary, skip valuations with twin individuals (see
-    the module docstring); every step counted is a model yielded."""
+    letters are at most unary, skip valuations with twin individuals; and
+    give eq2 the identity equality only, unless the domains are constant
+    on a frame that is not connected (see the module docstring).  Every
+    step counted is a model yielded."""
     hereditary = mode == "int"
     one_equality = leaders_only and not sees_equality
     no_twins = one_equality and max(letter_arities.values(), default=0) <= 1
+    identity_only = eq_principle == "eq3" or (
+        leaders_only and eq_principle == "eq2"
+        and not (constant_domains and not _connected(frame)))
     for domains in _domain_assignments(frame, domain_bound, constant_domains):
-        partitions, options = _equalities(frame, domains, eq_principle)
-        # Identity partitions are congruent with every valuation.
-        identities = list(enumerate(eq for _, eq in options)) \
-            if eq_principle == "eq3" else None
+        if identity_only:
+            # Identity partitions are congruent with every valuation.
+            identities = [(0, Equality(eq_principle, {
+                w: identity_partition(domains[w]) for w in frame.worlds}))]
+        else:
+            identities = None
+            partitions, options = _equalities(frame, domains, eq_principle)
         families = _valuation_families(frame, domains, letter_arities, hereditary)
         names = [name for name, _ in families]
         choices = [opts for _, opts in families]
         renamings = []
-        if leaders_only and _layer_swaps(domains):
+        swaps = _layer_swaps(domains) if leaders_only else []
+        if swaps:
             doms = tuple(domains[w] for w in frame.worlds)
             # Options that do not depend on the edges get their tables on
             # the frame without edges, which frames with these worlds share.
@@ -533,8 +569,9 @@ def _models(frame: Frame, letter_arities: dict, domain_bound: int, mode: str,
             per_letter = [_valuation_renamings(frame if hereditary else bare,
                                                doms, letter_arities[name])
                           for name in names]
-            eq_tables = _equality_renamings(
-                bare if eq_principle == "eq3" else frame, doms, eq_principle)
+            # A swap maps the identity to itself.
+            eq_tables = [[0]] * len(swaps) if identity_only else \
+                _equality_renamings(frame, doms, eq_principle)
             renamings = [([tables[k] for tables in per_letter], eq_table)
                          for k, eq_table in enumerate(eq_tables)]
         for index in product(*(range(len(c)) for c in choices)):
@@ -593,7 +630,8 @@ def enumerate_models(frame: Frame, letter_arities: dict, domain_bound: int,
 @dataclass
 class Verdict:
     outcome: str  # valid | countermodel | satisfiable |
-    #               unsatisfiable_up_to_bound | bound_exhausted
+    #               unsatisfiable_up_to_bound | no_countermodel_up_to_bound |
+    #               bound_exhausted
     bounds_used: dict
     model: Model | None = None
     world: str | None = None
@@ -639,7 +677,10 @@ def _first_hit(frames, f: Formula, mode: str, domain_bound: int,
 
     In modal mode a formula without modalities is first scanned on one
     world without edges, with a step count of its own; if nothing is hit
-    there, nothing is hit on frames (see the module docstring)."""
+    there, nothing is hit on frames (see the module docstring).  frames
+    given as a list of one one-world frame are scanned alone: the scan
+    of that world is the scan of the frame, the same models counted the
+    same way."""
     letter_arities = letters(f)
     sees_equality, sees_modality = _observed(f)
     compiled = compile_formula(f, mode)
@@ -655,7 +696,9 @@ def _first_hit(frames, f: Formula, mode: str, domain_bound: int,
                     return model, hit
         return None
 
-    if mode == "modal" and not sees_modality:
+    one_world = isinstance(frames, list) and len(frames) == 1 \
+        and len(frames[0].worlds) == 1
+    if mode == "modal" and not sees_modality and not one_world:
         try:
             if scan([Frame(("w0",), frozenset())]) is None:
                 return None
@@ -710,7 +753,10 @@ def decide_valid_over_frame(fr: Frame, f: Formula, domain_bound: int | None = No
                             constant_domains: bool = False,
                             max_steps: int | None = None) -> Verdict:
     """Validity of f over all models on the fixed finite frame fr,
-    within the domain bound; returns the first countermodel otherwise."""
+    within the domain bound; returns the first countermodel otherwise.
+    Without a domain bound the search runs to default_domain_bound, a
+    guess that can be too small, so finding no countermodel there gives
+    no_countermodel_up_to_bound, not valid."""
     heuristic = domain_bound is None
     if heuristic:
         domain_bound = default_domain_bound(f)
@@ -735,7 +781,8 @@ def decide_valid_over_frame(fr: Frame, f: Formula, domain_bound: int | None = No
         return Verdict("bound_exhausted", bounds | {"max_steps": max_steps},
                        warnings=warnings_list)
     if hit is None:
-        return Verdict("valid", bounds, warnings=warnings_list)
+        return Verdict("no_countermodel_up_to_bound" if heuristic else "valid",
+                       bounds, warnings=warnings_list)
     model, (w, sigma) = hit
     return Verdict("countermodel", bounds, model=model, world=w,
                    assignment=sigma, warnings=warnings_list)
@@ -806,9 +853,14 @@ def eq_separation_search(world_bound: int = 3, domain_bound: int = 2,
 
     Because every eq3 (identity) model also satisfies the eq2
     conditions, and every eq2 model the eq1 condition, validity can
-    only shrink from eq3 to eq2 to eq1; the search exploits that chain.
-    An explicit "not found within bounds" entry is reported for each
-    separation the search fails to exhibit.
+    only shrink from eq3 to eq2 to eq1.  The eq3-vs-eq2 leg is settled by
+    proof, not searched: the frames searched here are point-generated,
+    hence connected, and domains expand, so every eq2 model has an eq3
+    quotient with no larger domains and the same truths (see the module
+    docstring).  A formula valid under eq3 within the domain bound is
+    thus valid under eq2 within it, eq3_not_eq2 always reads "not found
+    within bounds", and the search stops at the first eq2-vs-eq1 pair,
+    a formula valid under eq3 (so eq2) with an eq1 countermodel.
 
     Frames are visited as in sat_bounded: point-generated, one per
     isomorphism class.  Validity on a frame passes to its generated
@@ -816,32 +868,20 @@ def eq_separation_search(world_bound: int = 3, domain_bound: int = 2,
     generates, so the first separating frame is point-generated.
     """
     parsed = [(mode, parse(text)) for mode, text in _SEPARATION_CANDIDATES]
-    found_32 = None
-    found_21 = None
     for fr in _generated_frames(world_bound):
         preorder = frame_matches(fr, PREORDER)
         for mode, f in parsed:
-            if found_32 is not None and found_21 is not None:
-                break
             if mode == "int" and not preorder:
                 continue
             v3 = decide_valid_over_frame(fr, f, domain_bound, mode, "eq3",
                                          max_steps=max_steps)
             if v3.outcome != "valid":
                 continue
-            v2 = decide_valid_over_frame(fr, f, domain_bound, mode, "eq2",
+            v1 = decide_valid_over_frame(fr, f, domain_bound, mode, "eq1",
                                          max_steps=max_steps)
-            if v2.outcome == "countermodel" and found_32 is None:
-                found_32 = SeparationFinding(fr, f, mode, "eq3", "eq2", v2,
-                                             _reverify(v2, f))
-            if v2.outcome != "valid":
-                continue
-            if found_21 is None:
-                v1 = decide_valid_over_frame(fr, f, domain_bound, mode, "eq1",
-                                             max_steps=max_steps)
-                if v1.outcome == "countermodel":
-                    found_21 = SeparationFinding(fr, f, mode, "eq2", "eq1", v1,
-                                                 _reverify(v1, f))
-        if found_32 is not None and found_21 is not None:
-            break
-    return SeparationReport(world_bound, domain_bound, found_32, found_21)
+            if v1.outcome == "countermodel":
+                return SeparationReport(
+                    world_bound, domain_bound, None,
+                    SeparationFinding(fr, f, mode, "eq2", "eq1", v1,
+                                      _reverify(v1, f)))
+    return SeparationReport(world_bound, domain_bound, None, None)

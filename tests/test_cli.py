@@ -174,6 +174,19 @@ def test_decide(capsys, frame_file):
     assert code == 1 and out.splitlines()[0] == "countermodel"
 
 
+def test_decide_without_domain_is_not_valid(capsys, frame_file):
+    """Without --domain the bound is a guess: no countermodel within it
+    has an exit code of its own, neither 0 (valid) nor 1 (countermodel)."""
+    code, out, _ = run(capsys, "decide", "--json", "--frame", frame_file,
+                       "<>Q(x) -> <>Q(x)")
+    payload = json.loads(out)
+    assert code == 5
+    assert payload["outcome"] == "no_countermodel_up_to_bound"
+    assert payload["bounds_used"]["domain_bound"] == 4
+    code, out, _ = run(capsys, "decide", "--frame", frame_file, "forall x Q(x)")
+    assert code == 1 and out.splitlines()[0] == "countermodel"
+
+
 def test_frame_props_json(capsys, frame_file):
     code, out, _ = run(capsys, "frame-props", "--json", "--frame", frame_file)
     assert code == 0

@@ -3,10 +3,12 @@ isomorphism class and only when point-generated, intuitionistic searches
 on one world, models checked once per renaming of individuals, equality
 relations built once per domain assignment, and what a formula cannot
 observe skipped (the equality without ``=``, twin individuals without
-``=`` and binary letters, the frame's other worlds without modalities).
-Each is compared with a naive test-side reference."""
+``=`` and binary letters, the frame's other worlds without modalities),
+and eq2 searched as its eq3 quotient.  Each is compared with a naive
+test-side reference."""
 
 import json
+import random
 from collections import Counter
 from itertools import permutations, product
 
@@ -22,7 +24,8 @@ from monotrick.semantics import (
     Equality, Frame, Model, evaluate, first_point, model_to_dict,
     valid_in_model, validate_model,
 )
-from monotrick.syntax import free_variables, letters, parse
+from monotrick.syntax import free_variables, letters, modal_depth, parse
+from tests.test_syntax import random_formula
 
 CLASSES = ("", "reflexive", "serial", "symmetric", "transitive",
            "reflexive,transitive")
@@ -121,6 +124,12 @@ def _reachable(fr, w):
                 seen.add(v)
                 todo.append(v)
     return seen
+
+
+def _connected(fr):
+    """Whether the frame is connected, edges taken in either direction."""
+    both_ways = Frame(fr.worlds, fr.access | {(b, a) for a, b in fr.access})
+    return _reachable(both_ways, fr.worlds[0]) == set(fr.worlds)
 
 
 def test_generated_frames_match_brute_force():
@@ -387,6 +396,75 @@ def test_modality_free_capped_decide_counts_the_frame_alone(monkeypatch):
         .outcome == "bound_exhausted"
 
 
+def test_modality_free_decide_on_one_world_frame_scans_it_once(monkeypatch):
+    """On a one-world frame a formula without modalities is checked on the
+    frame itself, once per lex-leader, with no scan of the world without
+    edges before it."""
+    checked = []
+
+    def recording(m, compiled):
+        checked.append(model_to_dict(m))
+        return valid_in_model(m, compiled)
+    monkeypatch.setattr(search, "valid_in_model", recording)
+    f = parse("x = y -> (Q(x) <-> Q(y))")
+    for fr in enumerate_frames(1):
+        for eq_principle in PRINCIPLES:
+            checked.clear()
+            verdict = decide_valid_over_frame(fr, f, 3, "modal", eq_principle)
+            assert verdict.outcome == "valid"
+            _, leaders = leader_models(
+                fr, letters(f), 3, "modal",
+                "eq3" if eq_principle == "eq2" else eq_principle, False)
+            assert checked == [
+                d | {"equality": d["equality"] | {"principle": eq_principle}}
+                for d in leaders], (sorted(fr.access), eq_principle)
+
+
+def test_eq2_matches_every_eq2_model_on_random_formulas():
+    """eq2 sat and decide, which search the identity equality only, give
+    the verdicts of a walk over every eq2 model of enumerate_models: modal
+    and intuitionistic, constant and expanding domains, every frame of at
+    most two worlds plus the 3-chain and the 3-preorder.  The formulas'
+    letters are kept small enough for the walk to stay cheap."""
+    rng = random.Random(11)
+    for _ in range(200):
+        mode = rng.choice(("modal", "int"))
+        while True:
+            f = random_formula(rng, 4, ["x", "y"])
+            if (mode == "modal" or modal_depth(f) == 0) and \
+                    sum(a + 1 for a in letters(f).values()) <= 4:
+                break
+        constant = rng.random() < 0.5
+        domain = rng.choice((1, 2))
+        if rng.random() < 0.5:
+            got = sat_bounded(f, FrameClass(), 2, domain, mode, "eq2",
+                              constant).to_json()
+            want = reference_sat(f, FrameClass(), 2, domain, mode, "eq2",
+                                 constant)
+        else:
+            fr = rng.choice([fr for fr in DECIDE_FRAMES if mode == "modal"
+                             or frame_matches(fr, PREORDERS)])
+            got = decide_valid_over_frame(fr, f, domain, mode, "eq2",
+                                          constant).to_json()
+            want = reference_decide(fr, f, domain, mode, "eq2", constant)
+        assert got == want, (str(f), mode, constant, domain)
+
+
+def test_eq2_constant_domains_on_disconnected_frame_keep_every_equality():
+    """With constant domains on a frame that is not connected, an eq2
+    model need not have an eq3 quotient with constant domains, so eq2
+    keeps every equality there.  The first countermodel merges a0 and a1
+    at w0, where the formula holds, and fails at w1; searched as eq3 it
+    would have the identity at both worlds."""
+    fr = Frame(("w0", "w1"), frozenset())
+    f = parse("x = y | ~q")
+    verdict = decide_valid_over_frame(fr, f, 2, "modal", "eq2", True)
+    assert verdict.to_json() == reference_decide(fr, f, 2, "modal", "eq2",
+                                                 True)
+    assert verdict.model.equality.classes["w0"] == (frozenset({"a0", "a1"}),)
+    assert verdict.world == "w1"
+
+
 def _swapped(m, a, b):
     """m with the individuals a and b swapped."""
     swap = {a: b, b: a}.get
@@ -433,7 +511,9 @@ def test_decide_checks_each_lex_leader_once(monkeypatch, mode, eq_principle,
     """On a valid formula decide checks exactly the lex-leaders among the
     models, in order, and fewer models than enumerate_models yields.  The
     formulas have = (which observes the equality and twins), and the modal
-    one a modality (which observes the frame)."""
+    one a modality (which observes the frame).  eq2 is searched as eq3,
+    with the principle relabelled, unless the domains are constant on a
+    frame that is not connected."""
     checked = []
 
     def recording(m, compiled):
@@ -451,6 +531,10 @@ def test_decide_checks_each_lex_leader_once(monkeypatch, mode, eq_principle,
             assert verdict.outcome == "valid"
             models, leaders = leader_models(fr, letters(f), domain, mode,
                                             eq_principle, constant)
+            if eq_principle == "eq2" and not (constant and not _connected(fr)):
+                leaders = [d | {"equality": d["equality"] | {"principle": "eq2"}}
+                           for d in leader_models(fr, letters(f), domain, mode,
+                                                  "eq3", constant)[1]]
             assert checked == leaders, (sorted(fr.access), domain)
             total += len(models)
             pruned += len(checked)

@@ -186,7 +186,8 @@ class TestDecideValidOverFrame:
         f = parse("forall x (Q(x) | ~Q(x))")
         assert default_domain_bound(f) == 2 * 2
         verdict = decide_valid_over_frame(REFLEXIVE_POINT, f)
-        assert verdict.outcome == "valid"
+        assert verdict.outcome == "no_countermodel_up_to_bound"
+        assert verdict.bounds_used["domain_bound"] == 4
         assert verdict.bounds_used["domain_bound_heuristic"] is True
 
     @pytest.mark.xfail(strict=True, reason="the default domain bound "
