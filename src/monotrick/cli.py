@@ -236,8 +236,13 @@ def _cmd_separate(args) -> int:
     return EXIT_OK
 
 
-# name -> (help, arguments beyond --json and --max-steps); each argument
-# is (flags, keyword arguments of add_argument).
+# The step cap of the searching commands.
+_MAX_STEPS = (("--max-steps",), {
+    "type": int, "default": None,
+    "help": "enumeration step cap (default: MONOTRICK_MAX_STEPS)"})
+
+# name -> (help, arguments beyond --json); each argument is (flags,
+# keyword arguments of add_argument).
 _COMMANDS = {
     "parse": ("parse a formula and pretty-print it", [(("formula",), {})]),
     "classify": ("fragment report for a formula", [(("formula",), {})]),
@@ -270,6 +275,7 @@ _COMMANDS = {
         (("--domain",), {"type": int, "required": True}),
         (("--eq",), {"choices": ("eq1", "eq2", "eq3"), "default": "eq3"}),
         (("--constant",), {"action": "store_true"}),
+        _MAX_STEPS,
         (("formula",), {}),
     ]),
     "decide": ("validity over a fixed finite frame", [
@@ -278,6 +284,7 @@ _COMMANDS = {
         (("--mode",), {"choices": ("modal", "int"), "default": "modal"}),
         (("--eq",), {"choices": ("eq1", "eq2", "eq3"), "default": "eq3"}),
         (("--constant",), {"action": "store_true"}),
+        _MAX_STEPS,
         (("formula",), {}),
     ]),
     "frame-props": ("frame property report",
@@ -291,6 +298,7 @@ _COMMANDS = {
     "separate": ("search small frames for equality-principle separations", [
         (("--worlds",), {"type": int, "default": 3}),
         (("--domain",), {"type": int, "default": 2}),
+        _MAX_STEPS,
     ]),
 }
 
@@ -309,8 +317,6 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
             continue
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--json", action="store_true", help="emit JSON output")
-        p.add_argument("--max-steps", type=int, default=None,
-                       help="enumeration step cap (default: MONOTRICK_MAX_STEPS)")
         for flags, kwargs in arguments:
             p.add_argument(*flags, **kwargs)
     return parser

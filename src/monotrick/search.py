@@ -35,6 +35,11 @@ per renaming of individuals:
   truth, so the renamed model is a hit exactly when the skipped one is.
   The first hit thus has no earlier renaming and is never skipped.
 
+The options of each domain assignment, a letter's extensions per arity
+(``_letter_options``) and the equalities per principle (``_equalities``),
+are built once per process with their swap tables, and every search and
+``enumerate_models`` shares them read-only.
+
 They also skip what the formula cannot observe:
 
 - Equalities.  For a formula without ``=`` truth does not depend on the
@@ -428,47 +433,49 @@ def _domain_assignments(frame: Frame, domain_bound: int, constant: bool):
             yield {w: pool[:s] for w, s in by_world.items()}
 
 
-def _valuation_families(frame: Frame, domains: dict, letter_arities: dict,
-                        hereditary: bool):
-    """Per-letter families of per-world extensions, heredity-filtered."""
-    families = []
-    names = sorted(letter_arities)
-    for name in names:
-        arity = letter_arities[name]
-        per_world = [
-            list(_subsets(sorted(product(domains[w], repeat=arity))))
-            for w in frame.worlds
-        ]
-        options = []
-        for combo in product(*per_world):
-            family = dict(zip(frame.worlds, combo))
-            if hereditary and any(not family[w] <= family[v]
-                                  for (w, v) in frame.access):
-                continue
-            options.append(family)
-        families.append((name, options))
-    return families
+@cache
+def _letter_options(frame: Frame, doms: tuple, arity: int) -> tuple:
+    """A letter's extensions on the domain assignment doms (one domain per
+    world of frame), and their _swap_tables.
+
+    An option is a tuple of one extension per world, in product order
+    over the worlds, each world's extensions in lexicographic bit order.
+    Only options that grow along the frame's edges are kept; ask on the
+    frame without edges when no heredity is wanted."""
+    at = {w: k for k, w in enumerate(frame.worlds)}
+    edges = [(at[w], at[v]) for w, v in frame.access]
+    options = [combo for combo in product(*(
+                   list(_subsets(sorted(product(dom, repeat=arity))))
+                   for dom in doms))
+               if all(combo[k] <= combo[j] for k, j in edges)]
+    return options, _swap_tables(options, doms)
 
 
-def _equalities(frame: Frame, domains: dict, principle: str):
-    """Every equality on the domain assignment that the principle's
-    heredity rules allow, whatever the valuation.
+@cache
+def _equalities(frame: Frame, doms: tuple, principle: str,
+                identity: bool = False) -> tuple:
+    """Every equality on the domain assignment doms that the principle's
+    heredity rules allow on frame, whatever the valuation; with identity,
+    the identity equality alone.
 
-    Returns (partitions, options): partitions[i] lists the partitions of
-    the i-th world's domain; options holds (index of each world's
-    partition, Equality) in product order.  Principle "any" keeps every
-    family.  eq3 has one option, the identity, which _models builds.
-    """
+    Returns (partitions, options, swap tables): partitions[i] lists the
+    partitions of the i-th world's domain; options holds (index of each
+    world's partition, Equality) in product order; the tables are the
+    options' _swap_tables.  Principle "any" keeps every family."""
     worlds = frame.worlds
-    partitions = [list(_set_partitions(tuple(sorted(domains[w]))))
-                  for w in worlds]
+    domains = dict(zip(worlds, doms))
+    partitions = [[identity_partition(dom)] if identity
+                  else list(_set_partitions(tuple(sorted(dom))))
+                  for dom in doms]
     options = []
     for combo in product(*(range(len(parts)) for parts in partitions)):
         eq = Equality(principle, {w: parts[i] for w, parts, i
                                   in zip(worlds, partitions, combo)})
         if next(heredity_violations(frame, domains, eq), None) is None:
             options.append((combo, eq))
-    return partitions, options
+    return partitions, options, _swap_tables(
+        [tuple(map(frozenset, map(eq.classes.get, worlds)))
+         for _, eq in options], doms)
 
 
 def _congruent(frame: Frame, valuation: dict, partitions: list,
@@ -485,11 +492,12 @@ def _congruent(frame: Frame, valuation: dict, partitions: list,
             if all(row[i] for row, i in zip(ok, combo))]
 
 
-def _layer_swaps(domains: dict) -> list:
-    """The pairs (a_i, a_i+1) of the pool that lie in one domain layer:
-    present in exactly the same worlds, i.e. no world has i+1 of them."""
-    sizes = set(map(len, domains.values()))
-    pool = max(domains.values(), key=len)
+def _layer_swaps(doms: tuple) -> list:
+    """The pairs (a_i, a_i+1) of the pool that lie in one domain layer of
+    the domain assignment doms: present in exactly the same worlds, i.e.
+    no world has i+1 of them."""
+    sizes = set(map(len, doms))
+    pool = max(doms, key=len)
     return [(pool[i], pool[i + 1]) for i in range(len(pool) - 1)
             if i + 1 not in sizes]
 
@@ -502,32 +510,12 @@ def _renamed(x, swap: dict):
     return type(x)(_renamed(y, swap) for y in x)
 
 
-def _swap_tables(keys: list, domains: dict) -> list:
-    """For each layer swap (a, b) of the domain assignment, the table from
-    i to the index in keys of keys[i] with a and b swapped."""
+def _swap_tables(keys: list, doms: tuple) -> list:
+    """For each layer swap (a, b) of the domain assignment doms, the table
+    from i to the index in keys of keys[i] with a and b swapped."""
     where = dict(zip(keys, range(len(keys))))
     return [[where[_renamed(key, {a: b, b: a})] for key in keys]
-            for a, b in _layer_swaps(domains)]
-
-
-@cache
-def _valuation_renamings(frame: Frame, doms: tuple, arity: int) -> list:
-    """_swap_tables of a letter's hereditary options in
-    _valuation_families on the domain assignment doms (one domain per
-    world).  On a frame without edges every option is hereditary."""
-    domains = dict(zip(frame.worlds, doms))
-    [(_, options)] = _valuation_families(frame, domains, {"": arity}, True)
-    return _swap_tables([tuple(map(option.get, frame.worlds))
-                         for option in options], domains)
-
-
-@cache
-def _equality_renamings(frame: Frame, doms: tuple, principle: str) -> list:
-    """_swap_tables of the options of _equalities on doms."""
-    domains = dict(zip(frame.worlds, doms))
-    _, options = _equalities(frame, domains, principle)
-    return _swap_tables([tuple(map(frozenset, map(eq.classes.get, frame.worlds)))
-                         for _, eq in options], domains)
+            for a, b in _layer_swaps(doms)]
 
 
 def _models(frame: Frame, letter_arities: dict, domain_bound: int, mode: str,
@@ -542,38 +530,31 @@ def _models(frame: Frame, letter_arities: dict, domain_bound: int, mode: str,
     give eq2 the identity equality only, unless the domains are constant
     on a frame that is not connected (see the module docstring).  Every
     step counted is a model yielded."""
-    hereditary = mode == "int"
+    worlds = frame.worlds
     one_equality = leaders_only and not sees_equality
     no_twins = one_equality and max(letter_arities.values(), default=0) <= 1
     identity_only = eq_principle == "eq3" or (
         leaders_only and eq_principle == "eq2"
         and not (constant_domains and not _connected(frame)))
+    # Options that do not depend on the edges are asked for on the frame
+    # without edges, which every frame with these worlds shares.
+    bare = Frame(worlds, frozenset())
+    letter_frame = frame if mode == "int" else bare
+    eq_frame = bare if identity_only else frame
+    names = sorted(letter_arities)
     for domains in _domain_assignments(frame, domain_bound, constant_domains):
-        if identity_only:
-            # Identity partitions are congruent with every valuation.
-            identities = [(0, Equality(eq_principle, {
-                w: identity_partition(domains[w]) for w in frame.worlds}))]
-        else:
-            identities = None
-            partitions, options = _equalities(frame, domains, eq_principle)
-        families = _valuation_families(frame, domains, letter_arities, hereditary)
-        names = [name for name, _ in families]
-        choices = [opts for _, opts in families]
-        renamings = []
-        swaps = _layer_swaps(domains) if leaders_only else []
-        if swaps:
-            doms = tuple(domains[w] for w in frame.worlds)
-            # Options that do not depend on the edges get their tables on
-            # the frame without edges, which frames with these worlds share.
-            bare = Frame(frame.worlds, frozenset())
-            per_letter = [_valuation_renamings(frame if hereditary else bare,
-                                               doms, letter_arities[name])
-                          for name in names]
-            # A swap maps the identity to itself.
-            eq_tables = [[0]] * len(swaps) if identity_only else \
-                _equality_renamings(frame, doms, eq_principle)
-            renamings = [([tables[k] for tables in per_letter], eq_table)
-                         for k, eq_table in enumerate(eq_tables)]
+        doms = tuple(map(domains.get, worlds))
+        per_letter = [_letter_options(letter_frame, doms, letter_arities[name])
+                      for name in names]
+        choices = [options for options, _ in per_letter]
+        partitions, equalities, eq_tables = _equalities(
+            eq_frame, doms, eq_principle, identity_only)
+        # Identity partitions are congruent with every valuation.
+        identities = list(enumerate(eq for _, eq in equalities)) \
+            if identity_only else None
+        renamings = [([tables[k] for _, tables in per_letter], eq_table)
+                     for k, eq_table in enumerate(eq_tables)] \
+            if leaders_only else []
         for index in product(*(range(len(c)) for c in choices)):
             # The equality tables of the swaps that fix the valuation.
             ties = []
@@ -587,11 +568,11 @@ def _models(frame: Frame, letter_arities: dict, domain_bound: int, mode: str,
                 if ties and no_twins:
                     continue
                 valuation = {
-                    w: {name: c[i][w] for name, c, i in zip(names, choices, index)}
-                    for w in frame.worlds
+                    w: {name: c[i][k] for name, c, i in zip(names, choices, index)}
+                    for k, w in enumerate(worlds)
                 }
-                fitting = identities if identities is not None else \
-                    _congruent(frame, valuation, partitions, options)
+                fitting = identities if identity_only else \
+                    _congruent(frame, valuation, partitions, equalities)
                 for j, equality in fitting:
                     if any(table[j] < j for table in ties):
                         continue
@@ -618,6 +599,7 @@ def enumerate_models(frame: Frame, letter_arities: dict, domain_bound: int,
     Domain assignments come first, then each letter's extension in
     letter order, then the equality.  The models share their
     ``domains``, ``valuation`` and ``Equality`` objects with each other,
+    and their extensions and ``Equality`` objects with other searches,
     so they are read-only.
     """
     return _models(frame, letter_arities, domain_bound, mode, eq_principle,
@@ -793,11 +775,10 @@ def decide_valid_over_frame(fr: Frame, f: Formula, domain_bound: int | None = No
 
 @dataclass
 class SeparationFinding:
+    """A formula valid on frame under eq2 with an eq1 countermodel."""
     frame: Frame
     formula: Formula
     mode: str
-    valid_principle: str
-    failing_principle: str
     counter_verdict: Verdict
     reverified: bool
 
@@ -807,8 +788,8 @@ class SeparationFinding:
                       "access": sorted(list(e) for e in self.frame.access)},
             "formula": str(self.formula),
             "mode": self.mode,
-            "valid_principle": self.valid_principle,
-            "failing_principle": self.failing_principle,
+            "valid_principle": "eq2",
+            "failing_principle": "eq1",
             "counter_verdict": self.counter_verdict.to_dict(),
             "reverified": self.reverified,
         }
@@ -818,15 +799,13 @@ class SeparationFinding:
 class SeparationReport:
     world_bound: int
     domain_bound: int
-    eq3_not_eq2: SeparationFinding | None
     eq2_not_eq1: SeparationFinding | None
 
     def to_dict(self) -> dict:
         return {
             "world_bound": self.world_bound,
             "domain_bound": self.domain_bound,
-            "eq3_not_eq2": (self.eq3_not_eq2.to_dict() if self.eq3_not_eq2
-                            else "not found within bounds"),
+            "eq3_not_eq2": "not found within bounds",
             "eq2_not_eq1": (self.eq2_not_eq1.to_dict() if self.eq2_not_eq1
                             else "not found within bounds"),
         }
@@ -881,7 +860,6 @@ def eq_separation_search(world_bound: int = 3, domain_bound: int = 2,
                                          max_steps=max_steps)
             if v1.outcome == "countermodel":
                 return SeparationReport(
-                    world_bound, domain_bound, None,
-                    SeparationFinding(fr, f, mode, "eq2", "eq1", v1,
-                                      _reverify(v1, f)))
-    return SeparationReport(world_bound, domain_bound, None, None)
+                    world_bound, domain_bound,
+                    SeparationFinding(fr, f, mode, v1, _reverify(v1, f)))
+    return SeparationReport(world_bound, domain_bound, None)

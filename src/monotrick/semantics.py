@@ -168,6 +168,11 @@ def validate_model(m: Model) -> list[Violation]:
     for (a, b) in m.frame.access:
         if a not in wset or b not in wset:
             out.append(Violation("access range", f"edge ({a},{b}) leaves the world set"))
+    for what, table in (("domain", m.domains), ("valuation", m.valuation),
+                        ("equality classes", m.equality.classes)):
+        for w in sorted(set(table) - wset, key=str):
+            out.append(Violation("world range",
+                                 f"{what} given for world {w} outside the frame"))
     if m.mode not in MODES:
         out.append(Violation("mode", f"unknown mode {m.mode!r}"))
     if m.equality.principle not in PRINCIPLES:
@@ -527,11 +532,14 @@ def _strings(value, what: str) -> tuple:
 
 
 def frame_from_dict(d: dict) -> Frame:
-    """Frame from its JSON form; rejects duplicate worlds and edges that
-    leave the world set, so every loaded frame is well formed."""
+    """Frame from its JSON form; rejects an empty or duplicate world list
+    and edges that leave the world set, so every loaded frame is well
+    formed."""
     _reject_unknown(_object(d, "frame"), _FRAME_KEYS, "frame")
     _require(d, ("worlds", "access"), "frame")
     worlds = _strings(d["worlds"], "worlds")
+    if not worlds:
+        raise ValueError("frame has no worlds")
     if len(set(worlds)) != len(worlds):
         raise ValueError(f"duplicate worlds in {list(worlds)}")
     access = set()

@@ -10,7 +10,7 @@ from itertools import product
 from monotrick.experiments import trick_experiment
 from monotrick.search import (
     FrameClass, _congruent, _domain_assignments, _equalities,
-    _valuation_families, classical_sat, decide_valid_over_frame,
+    _letter_options, classical_sat, decide_valid_over_frame,
     enumerate_frames, enumerate_models, eq_separation_search,
     frame_properties, sat_bounded,
 )
@@ -77,12 +77,13 @@ def test_criterion_03_eq1_correspondence():
     cases = 0
     for fr in enumerate_frames(2, FrameClass()):
         for domains in _domain_assignments(fr, 2, constant=False):
-            families = _valuation_families(fr, domains, {"Q": 1},
-                                           hereditary=False)
-            for (family,) in product(*(opts for _, opts in families)):
-                valuation = {w: {"Q": family[w]} for w in fr.worlds}
+            doms = tuple(map(domains.get, fr.worlds))
+            families, _ = _letter_options(Frame(fr.worlds, frozenset()),
+                                          doms, 1)
+            for family in families:
+                valuation = {w: {"Q": q} for w, q in zip(fr.worlds, family)}
                 for _, eq in _congruent(fr, valuation,
-                                        *_equalities(fr, domains, "any")):
+                                        *_equalities(fr, doms, "any")[:2]):
                     model = Model(fr, dict(domains), valuation,
                                   Equality("eq1", eq.classes), "modal")
                     valid, _ = valid_in_model(model, formula)

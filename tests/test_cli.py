@@ -266,6 +266,33 @@ def test_frame_edge_to_unknown_world_exit_2(capsys, tmp_path, command):
     assert "leaves the world set" in err
 
 
+@pytest.mark.parametrize("command", ["decide", "frame-props"])
+def test_frame_without_worlds_exit_2(capsys, tmp_path, command):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"worlds": [], "access": []}))
+    argv = [command, "--frame", str(path)] + (
+        ["--domain", "1", "p"] if command == "decide" else [])
+    code, out, err = run(capsys, *argv)
+    _assert_usage_error(code, err)
+    assert err == "error: frame has no worlds\n" and out == ""
+
+
+@pytest.mark.parametrize("where", ["domains", "valuation", "classes"])
+def test_model_entry_outside_frame(capsys, tmp_path, model_file, where):
+    broken = json.loads(open(model_file).read())
+    table = broken["equality"] if where == "classes" else broken
+    table[where]["ghost"] = {} if where == "valuation" else [["0"]]
+    path = str(tmp_path / "ghost.json")
+    pathlib.Path(path).write_text(json.dumps(broken))
+    code, out, _ = run(capsys, "validate", "--model", path)
+    assert code == 1 and "world ghost outside the frame" in out
+    for argv in (("check", "true"), ("eval", "--world", "root", "true")):
+        command, *rest = argv
+        code, out, err = run(capsys, command, "--model", path, *rest)
+        _assert_usage_error(code, err)
+        assert "world ghost outside the frame" in err and out == ""
+
+
 def test_model_with_list_domains_exit_2(capsys, tmp_path, model_file):
     broken = json.loads(open(model_file).read())
     broken["domains"] = ["0", "1"]
@@ -297,6 +324,9 @@ def test_deep_formula_exit_2(capsys, text):
 @pytest.mark.parametrize("argv", [
     ("sat", "--domain", "2", "p"),                       # missing --worlds
     ("sat", "--worlds", "1", "--domain", "1", "--bogus", "p"),
+    ("parse", "--max-steps", "3", "p"),                  # caps no search
+    ("experiment", "--variant", "d2", "--size", "1", "--max-steps", "1",
+     "corpus.txt"),
 ])
 def test_malformed_arguments_one_line_exit_2(capsys, argv):
     with pytest.raises(SystemExit) as info:

@@ -260,6 +260,46 @@ DECIDE_CASES = {
 }
 
 
+def test_cached_option_tables_give_the_same_verdicts_in_any_order():
+    """The option tables are built once per process and shared: searches
+    from cold tables and, in reverse order, from tables the other
+    searches built give byte-identical verdicts, and enumerate_models
+    yields the same models before and after the searches."""
+    queries = [
+        lambda: sat_bounded(parse("exists x exists y (~(x = y) & <>(x = y))"),
+                            FrameClass(), 2, 2, eq_principle="eq1"),
+        lambda: sat_bounded(parse("exists x (Q(x) & <>~Q(x) & <>Q(x))"),
+                            FrameClass(), 3, 2),
+        lambda: sat_bounded(parse("exists x ~Q(x) & ~~exists y Q(y)"),
+                            PREORDERS, 2, 2, "int", "eq1"),
+        lambda: decide_valid_over_frame(CHAIN3, parse(DECIDE_CASES["modal"][2]),
+                                        2, eq_principle="eq1"),
+        lambda: decide_valid_over_frame(CHAIN3, parse(DECIDE_CASES["modal"][9]),
+                                        2),
+        lambda: decide_valid_over_frame(PREORDER3, parse("x = y | ~(x = y)"),
+                                        2, "int", "eq1"),
+        lambda: decide_valid_over_frame(PREORDER3, parse("forall x Q(x) | "
+                                                         "~forall x Q(x)"),
+                                        2, "int"),
+    ]
+
+    def models():
+        return [model_to_dict(m) for fr, mode in ((CHAIN3, "modal"),
+                                                  (PREORDER3, "int"))
+                for m in enumerate_models(fr, {"Q": 1}, 2, mode, "eq1")]
+
+    search._letter_options.cache_clear()
+    search._equalities.cache_clear()
+    before = models()
+    forward = [query().to_json() for query in queries]
+    backward = [query().to_json() for query in reversed(queries)]
+    assert forward == backward[::-1]
+    assert [json.loads(v)["outcome"] for v in forward] == [
+        "satisfiable", "satisfiable", "satisfiable", "countermodel",
+        "countermodel", "countermodel", "countermodel"]
+    assert models() == before
+
+
 def reference_decide(fr, f, domain_bound, mode, eq_principle, constant):
     """decide_valid_over_frame over every model of enumerate_models."""
     bounds = {"domain_bound": domain_bound, "mode": mode,
