@@ -37,8 +37,8 @@ per renaming of individuals:
 
 The options of each domain assignment, a letter's extensions per arity
 (``_letter_options``) and the equalities per principle (``_equalities``),
-are built once per process with their swap tables, and every search and
-``enumerate_models`` shares them read-only.
+are built once with their swap tables and kept in bounded caches, and
+every search and ``enumerate_models`` shares them read-only.
 
 They also skip what the formula cannot observe:
 
@@ -87,6 +87,9 @@ keeps every eq2 equality.  (With constant domains on a connected frame
 eq2 equalities agree at every world, and so do the quotient's sizes.)
 ``enumerate_models`` yields every eq2 equality.
 
+``sat_bounded`` and ``decide_valid_over_frame`` run one scan,
+``_search``: it walks the models of ``_models``, counts each model it
+checks as one step, tests it with ``first_point`` and builds the verdict.
 Under a step cap (``max_steps``) the skipped frames and models count no
 steps, so a capped search can give a definite answer where the full
 search would have run out of steps; it never gives a different one.  The
@@ -99,13 +102,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, lru_cache
 from itertools import permutations, product
 
 from .semantics import (
     Equality, Frame, Model, compile_formula, evaluate, first_point,
     heredity_violations, identity_partition, model_to_dict,
-    partition_congruent, valid_in_model, validate_model,
+    partition_congruent, validate_model,
 )
 from .syntax import (
     And, Atom, Box, Diamond, Eq, Exists, Falsum, Forall, Formula, Iff,
@@ -117,23 +120,6 @@ from .translations import ClassicalStructure
 PROPERTY_NAMES = ("reflexive", "transitive", "symmetric", "serial",
                   "euclidean", "linear", "partial_order",
                   "irreflexive_transitive")
-
-
-class StepLimitExceeded(Exception):
-    """Raised internally when the enumeration step cap is hit."""
-
-
-class _StepCounter:
-    def __init__(self, limit: int | None):
-        if limit is not None and limit < 0:
-            raise ValueError(f"step cap must be >= 0, got {limit}")
-        self.limit = limit
-        self.steps = 0
-
-    def tick(self):
-        self.steps += 1
-        if self.limit is not None and self.steps > self.limit:
-            raise StepLimitExceeded
 
 
 @dataclass(frozen=True)
@@ -420,6 +406,12 @@ def _set_partitions(items: tuple):
         yield part + (frozenset([first]),)
 
 
+# How many option tables _letter_options and _equalities each keep, the
+# least recently used dropped first; a long run of the fixed workloads
+# asks for a few dozen keys.
+_OPTION_TABLES = 256
+
+
 def _domain_assignments(frame: Frame, domain_bound: int, constant: bool):
     pool = tuple(f"a{i}" for i in range(domain_bound))
     worlds = frame.worlds
@@ -433,7 +425,7 @@ def _domain_assignments(frame: Frame, domain_bound: int, constant: bool):
             yield {w: pool[:s] for w, s in by_world.items()}
 
 
-@cache
+@lru_cache(maxsize=_OPTION_TABLES)
 def _letter_options(frame: Frame, doms: tuple, arity: int) -> tuple:
     """A letter's extensions on the domain assignment doms (one domain per
     world of frame), and their _swap_tables.
@@ -451,7 +443,7 @@ def _letter_options(frame: Frame, doms: tuple, arity: int) -> tuple:
     return options, _swap_tables(options, doms)
 
 
-@cache
+@lru_cache(maxsize=_OPTION_TABLES)
 def _equalities(frame: Frame, doms: tuple, principle: str,
                 identity: bool = False) -> tuple:
     """Every equality on the domain assignment doms that the principle's
@@ -519,8 +511,7 @@ def _swap_tables(keys: list, doms: tuple) -> list:
 
 
 def _models(frame: Frame, letter_arities: dict, domain_bound: int, mode: str,
-            eq_principle: str, constant_domains: bool,
-            counter: _StepCounter | None, leaders_only: bool,
+            eq_principle: str, constant_domains: bool, leaders_only: bool,
             sees_equality: bool = True):
     """The models of enumerate_models, in its order.  With leaders_only,
     skip each model that swapping two adjacent individuals of one domain
@@ -528,8 +519,7 @@ def _models(frame: Frame, letter_arities: dict, domain_bound: int, mode: str,
     ``=`` (not sees_equality) keep one equality per valuation and, if the
     letters are at most unary, skip valuations with twin individuals; and
     give eq2 the identity equality only, unless the domains are constant
-    on a frame that is not connected (see the module docstring).  Every
-    step counted is a model yielded."""
+    on a frame that is not connected (see the module docstring)."""
     worlds = frame.worlds
     one_equality = leaders_only and not sees_equality
     no_twins = one_equality and max(letter_arities.values(), default=0) <= 1
@@ -576,8 +566,6 @@ def _models(frame: Frame, letter_arities: dict, domain_bound: int, mode: str,
                 for j, equality in fitting:
                     if any(table[j] < j for table in ties):
                         continue
-                    if counter is not None:
-                        counter.tick()
                     yield Model(
                         frame=frame,
                         domains=domains,
@@ -603,7 +591,7 @@ def enumerate_models(frame: Frame, letter_arities: dict, domain_bound: int,
     so they are read-only.
     """
     return _models(frame, letter_arities, domain_bound, mode, eq_principle,
-                   constant_domains, None, leaders_only=False)
+                   constant_domains, leaders_only=False)
 
 
 # ---------------------------------------------------------------------------
@@ -650,12 +638,14 @@ def _observed(f: Formula) -> tuple[bool, bool]:
     return equality, modality
 
 
-def _first_hit(frames, f: Formula, mode: str, domain_bound: int,
-               eq_principle: str, constant_domains: bool,
-               max_steps: int | None, point):
-    """The first model on frames for which point(model, compiled f)
-    returns a point, with that point; None if there is none.  Raises
-    StepLimitExceeded when the frames' models spend max_steps.
+def _search(frames, f: Formula, bounds: dict, max_steps: int | None,
+            value: bool, outcomes: tuple, warnings: list) -> Verdict:
+    """The verdict of the first model on frames, with its first point
+    (semantics.first_point) at which f evaluates to value: outcomes[0]
+    with that witness, outcomes[1] if there is none, or bound_exhausted
+    when the frames' models spend max_steps, each model checked being
+    one step.  bounds, the verdict's bounds_used, gives the mode,
+    domain_bound, eq_principle and constant_domains of the search.
 
     In modal mode a formula without modalities is first scanned on one
     world without edges, with a step count of its own; if nothing is hit
@@ -663,29 +653,38 @@ def _first_hit(frames, f: Formula, mode: str, domain_bound: int,
     given as a list of one one-world frame are scanned alone: the scan
     of that world is the scan of the frame, the same models counted the
     same way."""
+    if max_steps is not None and max_steps < 0:
+        raise ValueError(f"step cap must be >= 0, got {max_steps}")
+    limit = float("inf") if max_steps is None else max_steps
+    mode, domain_bound = bounds["mode"], bounds["domain_bound"]
+    eq_principle, constant = bounds["eq_principle"], bounds["constant_domains"]
     letter_arities = letters(f)
     sees_equality, sees_modality = _observed(f)
     compiled = compile_formula(f, mode)
 
-    def scan(frames):
-        counter = _StepCounter(max_steps)
+    def scan(frames) -> Verdict:
+        steps = 0
         for frame in frames:
             for model in _models(frame, letter_arities, domain_bound, mode,
-                                 eq_principle, constant_domains, counter,
-                                 True, sees_equality):
-                hit = point(model, compiled)
-                if hit is not None:
-                    return model, hit
-        return None
+                                 eq_principle, constant, True, sees_equality):
+                steps += 1
+                if steps > limit:
+                    return Verdict("bound_exhausted",
+                                   bounds | {"max_steps": max_steps},
+                                   warnings=warnings)
+                point = first_point(model, compiled, value)
+                if point is not None:
+                    return Verdict(outcomes[0], bounds, model=model,
+                                   world=point[0], assignment=point[1],
+                                   warnings=warnings)
+        return Verdict(outcomes[1], bounds, warnings=warnings)
 
     one_world = isinstance(frames, list) and len(frames) == 1 \
         and len(frames[0].worlds) == 1
     if mode == "modal" and not sees_modality and not one_world:
-        try:
-            if scan([Frame(("w0",), frozenset())]) is None:
-                return None
-        except StepLimitExceeded:
-            pass
+        verdict = scan([Frame(("w0",), frozenset())])
+        if verdict.outcome == outcomes[1]:
+            return verdict
     return scan(frames)
 
 
@@ -709,18 +708,8 @@ def sat_bounded(f: Formula, cls: FrameClass, world_bound: int, domain_bound: int
               "mode": mode, "eq_principle": eq_principle,
               "constant_domains": constant_domains}
     frames = _generated_frames(1 if mode == "int" else world_bound, cls)
-    try:
-        hit = _first_hit(frames, f, mode, domain_bound, eq_principle,
-                         constant_domains, max_steps,
-                         lambda model, compiled: first_point(model, compiled,
-                                                             True))
-    except StepLimitExceeded:
-        return Verdict("bound_exhausted", bounds | {"max_steps": max_steps})
-    if hit is None:
-        return Verdict("unsatisfiable_up_to_bound", bounds)
-    model, (w, sigma) = hit
-    return Verdict("satisfiable", bounds, model=model, world=w,
-                   assignment=sigma)
+    return _search(frames, f, bounds, max_steps, True,
+                   ("satisfiable", "unsatisfiable_up_to_bound"), [])
 
 
 def default_domain_bound(f: Formula) -> int:
@@ -749,25 +738,13 @@ def decide_valid_over_frame(fr: Frame, f: Formula, domain_bound: int | None = No
     bounds = {"domain_bound": domain_bound, "mode": mode,
               "eq_principle": eq_principle, "constant_domains": constant_domains,
               "domain_bound_heuristic": heuristic}
-    warnings_list = []
+    warnings = []
     if max(letters(f).values(), default=0) > 1:
-        warnings_list.append(
-            "formula is not monadic; the fixed-frame decidability "
-            "guarantee does not apply")
-    try:
-        hit = _first_hit([fr], f, mode, domain_bound, eq_principle,
-                         constant_domains, max_steps,
-                         lambda model, compiled: valid_in_model(model,
-                                                                compiled)[1])
-    except StepLimitExceeded:
-        return Verdict("bound_exhausted", bounds | {"max_steps": max_steps},
-                       warnings=warnings_list)
-    if hit is None:
-        return Verdict("no_countermodel_up_to_bound" if heuristic else "valid",
-                       bounds, warnings=warnings_list)
-    model, (w, sigma) = hit
-    return Verdict("countermodel", bounds, model=model, world=w,
-                   assignment=sigma, warnings=warnings_list)
+        warnings.append("formula is not monadic; the fixed-frame "
+                        "decidability guarantee does not apply")
+    return _search([fr], f, bounds, max_steps, False, (
+        "countermodel", "no_countermodel_up_to_bound" if heuristic else "valid"),
+        warnings)
 
 
 # ---------------------------------------------------------------------------

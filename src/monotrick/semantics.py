@@ -185,6 +185,9 @@ def validate_model(m: Model) -> list[Violation]:
             out.append(Violation("domain coverage", f"world {w} has no domain"))
         elif len(dom) == 0:
             out.append(Violation("empty domain", f"world {w} has an empty domain"))
+        elif len(set(dom)) != len(dom):
+            out.append(Violation("distinct individuals",
+                                 f"D({w}) lists an individual twice"))
     if any(v.name == "domain coverage" for v in out):
         return out
 
@@ -528,7 +531,14 @@ def _list(value, what: str) -> list:
 
 
 def _strings(value, what: str) -> tuple:
-    return tuple(str(a) for a in _list(value, what))
+    """A JSON list of names as strings; integer names (hand-numbered
+    individuals) are read as their decimal text."""
+    items = _list(value, what)
+    for a in items:
+        if isinstance(a, bool) or not isinstance(a, (str, int)):
+            raise ValueError(f"{what} holds {json.dumps(a)}; names must be "
+                             "strings or integers")
+    return tuple(map(str, items))
 
 
 def frame_from_dict(d: dict) -> Frame:
@@ -565,8 +575,14 @@ def model_from_dict(d: dict) -> Model:
     _require(eq, ("principle", "classes"), "equality")
     if eq["principle"] not in PRINCIPLES:
         raise ValueError(f"equality principle must be one of {PRINCIPLES}")
+    constant = d.get("constant_domains", False)
+    if not isinstance(constant, bool):
+        raise ValueError("constant_domains must be true or false, got "
+                         f"{json.dumps(constant)}")
     frame = frame_from_dict({"worlds": d["worlds"], "access": d["access"]})
-    domains = {w: _strings(dom, f"domain of {w}")
+    # The domain of a world outside the frame is kept unread:
+    # validate_model reports the world, whatever its domain holds.
+    domains = {w: _strings(dom, f"domain of {w}") if w in frame.worlds else dom
                for w, dom in _object(d["domains"], "domains").items()}
     valuation = {
         w: {letter: frozenset(_strings(tup, f"tuple of {letter} at {w}")
@@ -585,7 +601,7 @@ def model_from_dict(d: dict) -> Model:
         valuation=valuation,
         equality=Equality(eq["principle"], classes),
         mode=d["mode"],
-        constant_domains=bool(d.get("constant_domains", False)),
+        constant_domains=constant,
     )
 
 

@@ -277,6 +277,39 @@ def test_frame_without_worlds_exit_2(capsys, tmp_path, command):
     assert err == "error: frame has no worlds\n" and out == ""
 
 
+@pytest.mark.parametrize("command", ["decide", "frame-props"])
+def test_frame_with_list_world_name_exit_2(capsys, tmp_path, command):
+    path = tmp_path / "listed.json"
+    path.write_text(json.dumps({"worlds": [["a"]], "access": []}))
+    argv = [command, "--frame", str(path)] + (
+        ["--json", "--domain", "1", "p"] if command == "decide" else [])
+    code, out, err = run(capsys, *argv)
+    _assert_usage_error(code, err)
+    assert "names must be strings or integers" in err and out == ""
+
+
+@pytest.mark.parametrize("value", ["false", None])
+def test_model_with_non_boolean_constant_domains_exit_2(capsys, tmp_path,
+                                                       model_file, value):
+    broken = json.loads(open(model_file).read())
+    broken["constant_domains"] = value
+    path = tmp_path / "constant.json"
+    path.write_text(json.dumps(broken))
+    code, out, err = run(capsys, "validate", "--model", str(path))
+    _assert_usage_error(code, err)
+    assert "constant_domains must be true or false" in err and out == ""
+
+
+def test_model_listing_an_individual_twice_fails_validate(capsys, tmp_path):
+    twice = {"mode": "modal", "worlds": ["w0"], "access": [],
+             "domains": {"w0": ["a", "a"]}, "valuation": {"w0": {}},
+             "equality": {"principle": "eq3", "classes": {"w0": [["a"], ["a"]]}}}
+    path = tmp_path / "twice.json"
+    path.write_text(json.dumps(twice))
+    code, out, _ = run(capsys, "validate", "--model", str(path))
+    assert code == 1 and "distinct individuals" in out
+
+
 @pytest.mark.parametrize("where", ["domains", "valuation", "classes"])
 def test_model_entry_outside_frame(capsys, tmp_path, model_file, where):
     broken = json.loads(open(model_file).read())

@@ -87,9 +87,8 @@ def test_sat_matches_unpruned_reference(mode, text, domain, eq_principle):
 
 def test_separation_matches_unpruned_search(monkeypatch):
     pruned = eq_separation_search(3, 2).to_dict()
-    monkeypatch.setattr(search, "enumerate_frames_up_to_iso",
-                        lambda world_bound, cls=FrameClass():
-                        enumerate_frames(world_bound, cls))
+    monkeypatch.setattr(search, "_generated_frames",
+                        enumerate_frames_up_to_iso)
     assert json.dumps(pruned, sort_keys=True) == \
         json.dumps(eq_separation_search(3, 2).to_dict(), sort_keys=True)
 
@@ -261,10 +260,11 @@ DECIDE_CASES = {
 
 
 def test_cached_option_tables_give_the_same_verdicts_in_any_order():
-    """The option tables are built once per process and shared: searches
-    from cold tables and, in reverse order, from tables the other
-    searches built give byte-identical verdicts, and enumerate_models
-    yields the same models before and after the searches."""
+    """The option tables are built once and shared: searches from cold
+    tables and, in reverse order, from tables the other searches built
+    give byte-identical verdicts, and enumerate_models yields the same
+    models before and after the searches.  Both caches are bounded, with
+    room to spare for these searches."""
     queries = [
         lambda: sat_bounded(parse("exists x exists y (~(x = y) & <>(x = y))"),
                             FrameClass(), 2, 2, eq_principle="eq1"),
@@ -298,6 +298,10 @@ def test_cached_option_tables_give_the_same_verdicts_in_any_order():
         "satisfiable", "satisfiable", "satisfiable", "countermodel",
         "countermodel", "countermodel", "countermodel"]
     assert models() == before
+    for table in (search._letter_options, search._equalities):
+        maxsize = table.cache_parameters()["maxsize"]
+        assert maxsize is not None
+        assert table.cache_info().currsize < maxsize
 
 
 def reference_decide(fr, f, domain_bound, mode, eq_principle, constant):
@@ -378,10 +382,10 @@ def test_modality_free_valid_decide_checks_one_world(monkeypatch):
     model per non-empty set of the two letter patterns."""
     checked = []
 
-    def recording(m, compiled):
+    def recording(m, compiled, value):
         checked.append(m)
-        return valid_in_model(m, compiled)
-    monkeypatch.setattr(search, "valid_in_model", recording)
+        return first_point(m, compiled, value)
+    monkeypatch.setattr(search, "first_point", recording)
     f = parse("forall x Q(x) | exists x ~Q(x)")
     two_worlds = [fr for fr in enumerate_frames(2) if len(fr.worlds) == 2]
     for fr in (CHAIN3, PREORDER3, *two_worlds):
@@ -421,10 +425,10 @@ def test_modality_free_capped_decide_counts_the_frame_alone(monkeypatch):
     checked on the frame itself."""
     checked = []
 
-    def recording(m, compiled):
+    def recording(m, compiled, value):
         checked.append(m.frame)
-        return valid_in_model(m, compiled)
-    monkeypatch.setattr(search, "valid_in_model", recording)
+        return first_point(m, compiled, value)
+    monkeypatch.setattr(search, "first_point", recording)
     f = parse("exists x Q(x) -> forall x Q(x)")
     uncapped = decide_valid_over_frame(CHAIN3, f, 2)
     on_frame = checked.count(CHAIN3)
@@ -442,10 +446,10 @@ def test_modality_free_decide_on_one_world_frame_scans_it_once(monkeypatch):
     edges before it."""
     checked = []
 
-    def recording(m, compiled):
+    def recording(m, compiled, value):
         checked.append(model_to_dict(m))
-        return valid_in_model(m, compiled)
-    monkeypatch.setattr(search, "valid_in_model", recording)
+        return first_point(m, compiled, value)
+    monkeypatch.setattr(search, "first_point", recording)
     f = parse("x = y -> (Q(x) <-> Q(y))")
     for fr in enumerate_frames(1):
         for eq_principle in PRINCIPLES:
@@ -556,10 +560,10 @@ def test_decide_checks_each_lex_leader_once(monkeypatch, mode, eq_principle,
     frame that is not connected."""
     checked = []
 
-    def recording(m, compiled):
+    def recording(m, compiled, value):
         checked.append(model_to_dict(m))
-        return valid_in_model(m, compiled)
-    monkeypatch.setattr(search, "valid_in_model", recording)
+        return first_point(m, compiled, value)
+    monkeypatch.setattr(search, "first_point", recording)
     f = parse("x = y -> [](Q(x) -> Q(y))" if mode == "modal"
               else "x = y -> (Q(x) -> Q(y))")
     total = pruned = 0

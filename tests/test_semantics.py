@@ -84,6 +84,13 @@ class TestValidate:
         names = [v.name for v in validate_model(m)]
         assert "expanding domains" in names
 
+    def test_individual_listed_twice_violation(self):
+        twice = (frozenset({"a"}), frozenset({"a"}))
+        m = simple_model(domains={"w": ("a", "a"), "v": ("a", "a")},
+                         classes={"w": twice, "v": twice})
+        names = [v.name for v in validate_model(m)]
+        assert "distinct individuals" in names
+
 
 class TestEvaluate:
     def test_box_true_everywhere(self):
@@ -377,6 +384,10 @@ class TestJson:
         ({"worlds": "w0", "access": []}, "worlds must be a JSON list"),
         ({"worlds": ["w0"]}, "missing key 'access'"),
         (["w0"], "frame must be a JSON object"),
+        ({"worlds": [["a"]], "access": []}, "names must be strings or integers"),
+        ({"worlds": ["w0"], "access": [["w0", None]]},
+         "access entry holds null"),
+        ({"worlds": [True], "access": []}, "worlds holds true"),
     ])
     def test_malformed_frames_rejected(self, d, message):
         with pytest.raises(ValueError, match=message):
@@ -389,6 +400,14 @@ class TestJson:
         (("equality", "classes"), [["a"]], "classes must be a JSON object"),
         (("equality", "classes", "w"), "ab", "classes at w must be a JSON list"),
         (("worlds",), ["w", "v", "w"], "duplicate worlds"),
+        (("constant_domains",), "false",
+         'constant_domains must be true or false, got "false"'),
+        (("constant_domains",), None,
+         "constant_domains must be true or false, got null"),
+        (("constant_domains",), 1, "constant_domains must be true or false"),
+        (("domains", "w"), ["a", {"b": 1}], "domain of w holds"),
+        (("valuation", "w"), {"Q": [[["a"]]]}, "tuple of Q at w holds"),
+        (("equality", "classes", "w"), [["a"], [None]], "class at w holds"),
     ])
     def test_malformed_models_rejected(self, path, value, message):
         d = json.loads(json.dumps(model_to_dict(simple_model())))
@@ -398,6 +417,19 @@ class TestJson:
         target[path[-1]] = value
         with pytest.raises(ValueError, match=message):
             model_from_dict(d)
+
+
+    def test_integer_names_and_missing_constant_domains_accepted(self):
+        fr = frame_from_dict({"worlds": [0, 1], "access": [[0, 1]]})
+        assert fr == Frame(("0", "1"), frozenset({("0", "1")}))
+        d = json.loads(json.dumps(model_to_dict(simple_model())))
+        del d["constant_domains"]
+        d["domains"] = {"w": [0, "b"], "v": [0, "b"]}
+        d["equality"]["classes"] = {w: [[0], ["b"]] for w in ("w", "v")}
+        m = model_from_dict(d)
+        assert m.constant_domains is False
+        assert m.domains == {"w": ("0", "b"), "v": ("0", "b")}
+        assert validate_model(m) == []
 
 
 class TestLetterArities:
