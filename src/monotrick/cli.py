@@ -19,7 +19,7 @@ import os
 import sys
 import warnings
 
-from . import search, semantics, syntax
+from . import search, semantics, syntax, translations
 from .experiments import trick_experiment
 from .search import (
     Verdict, decide_valid_over_frame, frame_properties, parse_frame_class,
@@ -68,10 +68,19 @@ def _read_formula(arg: str) -> syntax.Formula:
     return parse(arg)
 
 
-def _read_corpus(path: str) -> list[str]:
+def _read_corpus(path: str) -> list[syntax.Formula]:
+    """The sentences of a corpus file, one a line."""
+    corpus = []
     with open(path, encoding="utf-8") as fh:
-        lines = [line.split("#", 1)[0].strip() for line in fh]
-    return [line for line in lines if line]
+        for lineno, line in enumerate(fh, start=1):
+            if not line.split("#", 1)[0].strip():
+                continue
+            try:
+                corpus.append(parse(line))
+            except ParseError as exc:
+                raise ParseError(f"{path}: {exc.message}", lineno, exc.col,
+                                 exc.expected) from None
+    return corpus
 
 
 def _parse_assignment(text: str) -> dict:
@@ -127,8 +136,7 @@ def _cmd_translate(args) -> int:
     f = _read_formula(args.formula)
     variant = Variant(args.variant)
     if args.positivize:
-        from .translations import fresh_letter
-        f = positivize(f, fresh_letter(f, "p_pos"))
+        f = positivize(f, translations.fresh_letter(f, "p_pos"))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         g = kripke_trick(f, variant, fresh_scheme(f))
@@ -269,7 +277,8 @@ _COMMANDS = {
     "sat": ("bounded satisfiability over a frame class", [
         (("--mode",), {"choices": ("modal", "int"), "default": "modal"}),
         (("--class",), {"dest": "frame_class", "default": "", "help":
-                        "comma-separated frame properties, e.g. "
+                        "comma-separated frame properties, all of which "
+                        "hold (of several alt_n, the least), e.g. "
                         "reflexive,alt_2"}),
         (("--worlds",), {"type": int, "required": True}),
         (("--domain",), {"type": int, "required": True}),
@@ -290,8 +299,8 @@ _COMMANDS = {
     "frame-props": ("frame property report",
                     [(("--frame",), {"required": True})]),
     "experiment": ("translation-faithfulness experiment over a corpus file", [
-        (("--variant",), {"required": True, "choices": (
-            Variant.DIAMOND2.value, Variant.NEG_DIAMOND1.value)}),
+        (("--variant",), {"required": True, "choices": [
+            v.value for v in translations.COMPANIONS]}),
         (("--size",), {"type": int, "required": True}),
         (("corpus",), {}),
     ]),

@@ -29,8 +29,8 @@ from .search import _least_labelled, _renamed_masks, classical_evaluate
 from .semantics import compile_formula
 from .syntax import free_variables, letters, parse, render
 from .translations import (
-    ClassicalStructure, TranslationError, Variant, build_companion_model,
-    fresh_scheme, kripke_trick,
+    COMPANIONS, ClassicalStructure, TranslationError, Variant,
+    build_companion_model, fresh_scheme, kripke_trick,
 )
 
 # A structure on the individuals 0..n-1 is numbered within its size by
@@ -116,7 +116,7 @@ class ExperimentReport:
 
 def trick_experiment(corpus, variant: Variant, size_bound: int) -> ExperimentReport:
     """Compare classical truth with companion-root truth of the translation."""
-    if variant not in (Variant.DIAMOND2, Variant.NEG_DIAMOND1):
+    if variant not in COMPANIONS:
         raise ValueError(
             f"variant {variant.value} has no companion-model construction")
     started = time.perf_counter()
@@ -141,7 +141,7 @@ def trick_experiment(corpus, variant: Variant, size_bound: int) -> ExperimentRep
             continue
         formulas.append((f, scheme, compile_formula(translated, "modal")))
 
-    symmetric = variant is Variant.NEG_DIAMOND1
+    symmetric, _ = COMPANIONS[variant]
     structure_count, classes = _classes(size_bound, symmetric)
     representatives = [_structure(n, mask) for _, n, mask, _ in classes]
     agreement = 0

@@ -40,7 +40,7 @@ The options of each domain assignment, a letter's extensions per arity
 are built once with their swap tables and kept in bounded caches, and
 every search and ``enumerate_models`` shares them read-only.
 
-They also skip what the formula cannot observe:
+They also skip what the formula cannot observe, per ``syntax.classify``:
 
 - Equalities.  For a formula without ``=`` truth does not depend on the
   equality, so of each valuation's equalities only the first one kept
@@ -111,9 +111,8 @@ from .semantics import (
     partition_congruent, validate_model,
 )
 from .syntax import (
-    And, Atom, Box, Diamond, Eq, Exists, Falsum, Forall, Formula, Iff,
-    Implies, Not, Or, Verum, free_variables, letters, modal_depth,
-    parse, subformulas,
+    And, Atom, Eq, Exists, Falsum, Forall, Formula, Iff, Implies, Not, Or,
+    Verum, classify, free_variables, letters, modal_depth, parse,
 )
 from .translations import ClassicalStructure
 
@@ -143,15 +142,16 @@ PREORDER = FrameClass(frozenset({"reflexive", "transitive"}))
 
 
 def parse_frame_class(text: str) -> FrameClass:
-    """Parse a comma-separated property list, e.g. 'reflexive,alt_2'."""
+    """Parse a comma-separated property list, e.g. 'reflexive,alt_2'.  The
+    class is their conjunction: of several alt_n, the least bound holds."""
     props: set[str] = set()
-    alt = None
+    alts = []
     for item in filter(None, (s.strip() for s in text.split(","))):
         if item.startswith("alt_"):
-            alt = int(item[4:])
+            alts.append(int(item[4:]))
         else:
             props.add(item)
-    return FrameClass(frozenset(props), alt)
+    return FrameClass(frozenset(props), min(alts, default=None))
 
 
 @dataclass(frozen=True)
@@ -626,18 +626,6 @@ class Verdict:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
-def _observed(f: Formula) -> tuple[bool, bool]:
-    """Whether f has an equality atom, and whether it has a modality: the
-    parts of a model the searches vary only when f can observe them."""
-    equality = modality = False
-    for g in subformulas(f):
-        if isinstance(g, Eq):
-            equality = True
-        elif isinstance(g, (Box, Diamond)):
-            modality = True
-    return equality, modality
-
-
 def _search(frames, f: Formula, bounds: dict, max_steps: int | None,
             value: bool, outcomes: tuple, warnings: list) -> Verdict:
     """The verdict of the first model on frames, with its first point
@@ -659,14 +647,15 @@ def _search(frames, f: Formula, bounds: dict, max_steps: int | None,
     mode, domain_bound = bounds["mode"], bounds["domain_bound"]
     eq_principle, constant = bounds["eq_principle"], bounds["constant_domains"]
     letter_arities = letters(f)
-    sees_equality, sees_modality = _observed(f)
+    report = classify(f)
     compiled = compile_formula(f, mode)
 
     def scan(frames) -> Verdict:
         steps = 0
         for frame in frames:
             for model in _models(frame, letter_arities, domain_bound, mode,
-                                 eq_principle, constant, True, sees_equality):
+                                 eq_principle, constant, True,
+                                 report.has_equality):
                 steps += 1
                 if steps > limit:
                     return Verdict("bound_exhausted",
@@ -681,7 +670,7 @@ def _search(frames, f: Formula, bounds: dict, max_steps: int | None,
 
     one_world = isinstance(frames, list) and len(frames) == 1 \
         and len(frames[0].worlds) == 1
-    if mode == "modal" and not sees_modality and not one_world:
+    if mode == "modal" and report.modal_depth == 0 and not one_world:
         verdict = scan([Frame(("w0",), frozenset())])
         if verdict.outcome == outcomes[1]:
             return verdict

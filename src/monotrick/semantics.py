@@ -266,11 +266,11 @@ def validate_model(m: Model) -> list[Violation]:
             if (w, w) not in m.frame.access:
                 out.append(Violation("intuitionistic frame must be a preorder",
                                      f"world {w} is not reflexive"))
-        for (a, b) in sorted(m.frame.access):
-            for c in worlds:
-                if (b, c) in m.frame.access and (a, c) not in m.frame.access:
-                    out.append(Violation("intuitionistic frame must be a preorder",
-                                         f"missing transitive edge ({a},{c})"))
+        missing = {(a, c) for (a, b) in m.frame.access for c in worlds
+                   if (b, c) in m.frame.access and (a, c) not in m.frame.access}
+        for (a, c) in sorted(missing):
+            out.append(Violation("intuitionistic frame must be a preorder",
+                                 f"missing transitive edge ({a},{c})"))
     return out
 
 
@@ -280,9 +280,8 @@ class Compiled(NamedTuple):
     ``holds(m, w, values)`` is the truth of the formula at world w of m
     when ``values[i]`` is assigned to ``free[i]``.  It runs none of
     evaluate()'s checks: w must be a world of m, the values must lie in
-    D(w), and m must be a model of this mode.
+    D(w), and m must be a model of the mode it was compiled for.
     """
-    mode: str
     free: tuple[str, ...]
     holds: Callable[[Model, str, tuple], bool]
 
@@ -313,7 +312,7 @@ def compile_formula(f: Formula, mode: str) -> Compiled:
 
     def holds(m, w, values):
         return root(m, w, [*values, *pad])
-    return Compiled(mode, free, holds)
+    return Compiled(free, holds)
 
 
 def _goedel(f: Formula) -> Formula:
@@ -432,17 +431,14 @@ def evaluate(m: Model, w: str, assignment: dict, f: Formula) -> bool:
     return compiled.holds(m, w, [assignment[x] for x in compiled.free])
 
 
-def valid_in_model(m: Model, f: Formula | Compiled):
+def valid_in_model(m: Model, f: Formula):
     """Truth at every world under every assignment of f's free variables.
 
-    f may be passed compiled, so that a search compiles it once for all
-    its models.  Returns (True, None) or (False, (world, assignment)).
+    Returns (True, None) or (False, (world, assignment)).  A search that
+    checks one formula on many models compiles it once and calls
+    first_point instead.
     """
-    compiled = f if isinstance(f, Compiled) else compile_formula(f, m.mode)
-    if compiled.mode != m.mode:
-        raise EvaluationError(
-            f"formula compiled for {compiled.mode} mode, model is {m.mode}")
-    point = first_point(m, compiled, False)
+    point = first_point(m, compile_formula(f, m.mode), False)
     return point is None, point
 
 

@@ -132,10 +132,12 @@ _CONSTANT_TOKENS = {tok: node for node, tok in _CONSTANTS.items()}
 
 class ParseError(ValueError):
     def __init__(self, message, line=None, col=None, expected=()):
+        self.message = message
         self.line = line
         self.col = col
         self.expected = tuple(expected)
-        where = f" at line {line}, column {col}" if line is not None else ""
+        where = "" if line is None else f" at line {line}" + (
+            "" if col is None else f", column {col}")
         hint = f" (expected {' or '.join(self.expected)})" if self.expected else ""
         super().__init__(f"{message}{where}{hint}")
 

@@ -11,11 +11,12 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import combinations_with_replacement
 
 from .semantics import Equality, Frame, Model, identity_partition
 from .syntax import (
-    And, Atom, Diamond, Eq, Falsum, Formula, Implies, Not, Or, classify,
-    letters, map_children, modal_depth, subformulas,
+    And, Atom, Diamond, Falsum, Formula, FragmentReport, Implies, Not, Or,
+    classify, letters, map_children,
 )
 
 
@@ -107,11 +108,13 @@ def positivize(f: Formula, fresh: str) -> Formula:
     return go(f)
 
 
-def _check_trick_input(f: Formula, names: NamingScheme) -> str | None:
-    """Validate the admissible signature; returns the binary letter, if any."""
-    if modal_depth(f) > 0:
+def _check_trick_input(f: Formula, report: FragmentReport,
+                       names: NamingScheme) -> str | None:
+    """Validate the admissible signature of f, whose classify() report is
+    given; returns the binary letter, if any."""
+    if report.modal_depth > 0:
         raise TranslationError("input to the trick must contain no modality")
-    if any(isinstance(g, Eq) for g in subformulas(f)):
+    if report.has_equality:
         raise TranslationError("input to the trick must contain no equality atoms")
     binary = None
     for letter, arity in letters(f).items():
@@ -138,8 +141,9 @@ def kripke_trick(f: Formula, variant: Variant,
     """
     if names is None:
         names = fresh_scheme(f)
-    _check_trick_input(f, names)
-    if variant in (Variant.POSITIVE_IMP, Variant.NEG_DISJ) and not classify(f).is_positive:
+    report = classify(f)
+    _check_trick_input(f, report, names)
+    if variant in (Variant.POSITIVE_IMP, Variant.NEG_DISJ) and not report.is_positive:
         warnings.warn("positive-fragment variants expect a positive input; "
                       "apply positivize first", stacklevel=2)
 
@@ -161,13 +165,31 @@ def kripke_trick(f: Formula, variant: Variant,
     return go(f)
 
 
-def _world_name(a, b) -> str:
-    return f"w_{a}_{b}"
+def _d2_worlds(m: ClassicalStructure, domain: tuple, names: NamingScheme):
+    """One world per pair (a, b) of the relation: Q1(a), Q2(b)."""
+    for (a, b) in sorted(m.relation, key=lambda p: (str(p[0]), str(p[1]))):
+        yield f"w_{a}_{b}", {names.q1: frozenset([(a,)]),
+                             names.q2: frozenset([(b,)])}
+
+
+def _nd1_worlds(m: ClassicalStructure, domain: tuple, names: NamingScheme):
+    """One world per unordered non-edge {a, b}, a = b included: Q(a), Q(b)."""
+    for (a, b) in combinations_with_replacement(domain, 2):
+        if (a, b) not in m.relation:
+            yield f"w_{a}_{b}", {names.q: frozenset({(a,), (b,)})}
+
+
+# variant -> (needs a symmetric irreflexive relation, a generator of the
+# (world, valuation) pairs above the root from (structure, domain, names)).
+COMPANIONS = {
+    Variant.DIAMOND2: (False, _d2_worlds),
+    Variant.NEG_DIAMOND1: (True, _nd1_worlds),
+}
 
 
 def build_companion_model(m: ClassicalStructure, variant: Variant,
                           names: NamingScheme | None = None):
-    """Companion Kripke model for the Diamond2/NegDiamond1 variants.
+    """Companion Kripke model for a variant of COMPANIONS.
 
     Returns (model, root).  The frame is universal with a constant
     domain; equality is the identity.  At the root nothing is true, so
@@ -175,43 +197,24 @@ def build_companion_model(m: ClassicalStructure, variant: Variant,
     """
     if names is None:
         names = NamingScheme()
-    if variant not in (Variant.DIAMOND2, Variant.NEG_DIAMOND1):
+    if variant not in COMPANIONS:
         raise TranslationError(
             f"no companion construction for variant {variant.value}")
-    root = "root"
+    symmetric_irreflexive, above_root = COMPANIONS[variant]
+    if symmetric_irreflexive and not (m.is_symmetric() and m.is_irreflexive()):
+        raise TranslationError(
+            "NegDiamond1 requires a symmetric irreflexive relation")
     domain = tuple(sorted(m.domain, key=str))
-    valuation: dict[str, dict[str, frozenset]] = {root: {}}
-    worlds = [root]
-
-    if variant is Variant.DIAMOND2:
-        for (a, b) in sorted(m.relation, key=lambda p: (str(p[0]), str(p[1]))):
-            w = _world_name(a, b)
-            worlds.append(w)
-            valuation[w] = {names.q1: frozenset([(a,)]),
-                            names.q2: frozenset([(b,)])}
-    else:
-        if not (m.is_symmetric() and m.is_irreflexive()):
-            raise TranslationError(
-                "NegDiamond1 requires a symmetric irreflexive relation")
-        seen = set()
-        for a in domain:
-            for b in domain:
-                key = tuple(sorted((a, b), key=str))
-                if key in seen or (a, b) in m.relation:
-                    continue
-                seen.add(key)
-                w = _world_name(key[0], key[1])
-                worlds.append(w)
-                valuation[w] = {names.q: frozenset({(key[0],), (key[1],)})}
-
-    frame = Frame(tuple(worlds), frozenset((u, v) for u in worlds for v in worlds))
+    valuation: dict[str, dict[str, frozenset]] = {"root": {}}
+    valuation.update(above_root(m, domain, names))
+    worlds = tuple(valuation)
     identity = identity_partition(domain)
     model = Model(
-        frame=frame,
+        frame=Frame(worlds, frozenset((u, v) for u in worlds for v in worlds)),
         domains={w: domain for w in worlds},
         valuation=valuation,
         equality=Equality("eq3", {w: identity for w in worlds}),
         mode="modal",
         constant_domains=True,
     )
-    return model, root
+    return model, "root"

@@ -119,6 +119,14 @@ def test_sat(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("cls", ("alt_1,alt_2", "alt_2,alt_1"))
+def test_sat_repeated_alt_keeps_the_least_bound(capsys, cls):
+    # Two successors are needed, and alt_1 allows one whatever its order.
+    code, out, _ = run(capsys, "sat", "--class", cls, "--worlds", "3",
+                       "--domain", "1", "<>p & <>~p")
+    assert code == 1 and out.splitlines()[0] == "unsatisfiable_up_to_bound"
+
+
 def test_sat_step_cap(capsys, monkeypatch):
     # <>false is unsatisfiable and modal, so no one-world scan settles it.
     monkeypatch.setenv("MONOTRICK_MAX_STEPS", "3")
@@ -236,6 +244,17 @@ def test_experiment_empty_corpus(capsys, tmp_path):
                        "--json", str(corpus))
     assert code == 0
     assert json.loads(out)["corpus_size"] == 0
+
+
+def test_experiment_parse_error_names_the_corpus_line(capsys, tmp_path):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("exists x exists y P(x,y)\n"
+                      "forall x (\n")
+    code, out, err = run(capsys, "experiment", "--variant", "d2", "--size",
+                         "2", str(corpus))
+    assert code == 2 and out == ""
+    assert err == (f"error: {corpus}: unexpected end of input at line 2, "
+                   "column 11 (expected formula)\n")
 
 
 def test_json_verdict_round_trips(capsys, frame_file):

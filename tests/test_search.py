@@ -91,6 +91,11 @@ class TestEnumerateFrames:
         for fr in enumerate_frames(2, parse_frame_class("alt_1")):
             assert frame_properties(fr).max_out_degree <= 1
 
+    @pytest.mark.parametrize("text", ("alt_1,alt_2", "alt_2,alt_1"))
+    def test_repeated_alt_keeps_the_least_bound(self, text):
+        # A class is a conjunction: alt_1 and alt_2 is alt_1.
+        assert parse_frame_class(text) == parse_frame_class("alt_1")
+
     def test_matches_its_own_filter(self):
         cls = parse_frame_class("transitive,serial")
         for fr in enumerate_frames(2, cls):

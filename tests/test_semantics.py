@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -90,6 +91,60 @@ class TestValidate:
                          classes={"w": twice, "v": twice})
         names = [v.name for v in validate_model(m)]
         assert "distinct individuals" in names
+
+    def test_missing_transitive_edge_reported_once(self):
+        # a -> b -> d and a -> c -> d both miss (a,d); a -> b -> e misses
+        # (a,e).  Each is reported once, in sorted order.
+        worlds = ("a", "b", "c", "d", "e")
+        edges = [("a", "b"), ("b", "d"), ("a", "c"), ("c", "d"), ("b", "e")]
+        m = simple_model(mode="int", worlds=worlds,
+                         access=edges + [(w, w) for w in worlds])
+        assert [str(v) for v in validate_model(m)] == [
+            "intuitionistic frame must be a preorder: "
+            f"missing transitive edge (a,{c})" for c in "de"]
+
+
+def _with(**changes) -> Model:
+    """simple_model() with some fields replaced."""
+    return replace(simple_model(), **changes)
+
+
+# One model per violation that no other test produces: (name, part of the
+# witness, model).
+VIOLATIONS = [
+    ("nonempty worlds", "no worlds",
+     Model(Frame((), frozenset()), {}, {}, Equality("eq3", {}))),
+    ("distinct worlds", "duplicate",
+     simple_model(worlds=("w", "w"), access=[])),
+    ("access range", "(w,u) leaves",
+     simple_model(access=[("w", "u")])),
+    ("mode", "'classical'", simple_model(mode="classical")),
+    ("equality principle", "'eq4'", _with(equality=Equality("eq4", {}))),
+    ("domain coverage", "v has no domain",
+     _with(domains={"w": ("a", "b")})),
+    ("empty domain", "v has an empty domain",
+     _with(domains={"w": ("a", "b"), "v": ()})),
+    ("constant domains", "D(v) differs from D(w)",
+     replace(simple_model(domains={"w": ("a",), "v": ("a", "b")}),
+             constant_domains=True)),
+    ("valuation arity", "Q has tuples of mixed length",
+     simple_model(valuation={"w": {"Q": frozenset({("a",), ("a", "b")})},
+                             "v": {}})),
+    ("valuation range", "outside D(w)",
+     simple_model(valuation={"w": {"Q": frozenset({("c",)})}, "v": {}})),
+    ("equality partition", "no partition for world v",
+     simple_model(classes={"w": identity_partition(("a", "b"))})),
+    ("equality partition", "classes at w do not partition D(w)",
+     simple_model(classes={"w": (frozenset({"a"}),),
+                           "v": identity_partition(("a", "b"))})),
+]
+
+
+@pytest.mark.parametrize("name, witness, model", VIOLATIONS,
+                         ids=[n.replace(" ", "_") for n, _, _ in VIOLATIONS])
+def test_validate_reports(name, witness, model):
+    assert any(v.name == name and witness in v.witness
+               for v in validate_model(model)), validate_model(model)
 
 
 class TestEvaluate:
@@ -301,14 +356,6 @@ class TestValidInModel:
         world, sigma = witness
         assert world == "w"
         assert set(sigma.values()) == {"a", "b"}
-
-    def test_compiled_formula_must_match_the_model_mode(self):
-        f = parse("x = y | ~(x = y)")
-        m = simple_model(mode="int")
-        assert valid_in_model(m, compile_formula(f, "int")) == \
-            valid_in_model(m, f)
-        with pytest.raises(EvaluationError, match="compiled for modal"):
-            valid_in_model(m, compile_formula(f, "modal"))
 
 
 def test_evaluate_over_points_hits_the_compile_cache():
