@@ -116,7 +116,13 @@ def _max_steps(args) -> int | None:
     if args.max_steps is not None:
         return args.max_steps
     env = os.environ.get("MONOTRICK_MAX_STEPS")
-    return int(env) if env else None
+    if not env:
+        return None
+    try:
+        return int(env)
+    except ValueError:
+        raise UsageError("MONOTRICK_MAX_STEPS must be an integer, not "
+                         f"{env!r}") from None
 
 
 def _cmd_parse(args) -> int:
@@ -244,13 +250,17 @@ def _cmd_separate(args) -> int:
     return EXIT_OK
 
 
+# The option every command has.
+_JSON = (("--json",), {"action": "store_true", "help": "emit JSON output"})
+
 # The step cap of the searching commands.
 _MAX_STEPS = (("--max-steps",), {
     "type": int, "default": None,
     "help": "enumeration step cap (default: MONOTRICK_MAX_STEPS)"})
 
 # name -> (help, arguments beyond --json); each argument is (flags,
-# keyword arguments of add_argument).
+# keyword arguments of add_argument).  build_parser builds argparse's
+# parser from it and _read_args reads well-formed command lines with it.
 _COMMANDS = {
     "parse": ("parse a formula and pretty-print it", [(("formula",), {})]),
     "classify": ("fragment report for a formula", [(("formula",), {})]),
@@ -325,10 +335,58 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         if command not in (None, name):
             continue
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--json", action="store_true", help="emit JSON output")
-        for flags, kwargs in arguments:
+        for flags, kwargs in (_JSON, *arguments):
             p.add_argument(*flags, **kwargs)
     return parser
+
+
+def _read_args(command: str, tokens: list) -> argparse.Namespace | None:
+    """The namespace argparse gives for ``[command, *tokens]``, read
+    straight from the command table when every token is an exact long
+    option (each at most once, a value option followed by its value), a
+    value or the one positional, and every type, choice and required
+    option checks out; None for anything else, which argparse then
+    parses or explains.  A token starting with ``-`` is never taken as a
+    value or the positional."""
+    options, positional = {}, []
+    values = {"command": command}
+    for flags, kwargs in (_JSON, *_COMMANDS[command][1]):
+        if not flags[0].startswith("-"):
+            positional.append(flags[0])
+            continue
+        dest = kwargs.get("dest", flags[0][2:].replace("-", "_"))
+        options[flags[0]] = (dest, kwargs)
+        values[dest] = (False if kwargs.get("action") == "store_true"
+                        else kwargs.get("default"))
+    seen = set()
+    tokens = iter(tokens)
+    for token in tokens:
+        if not token.startswith("-"):
+            if not positional:
+                return None
+            values[positional.pop()] = token
+            continue
+        if token not in options or token in seen:
+            return None
+        seen.add(token)
+        dest, kwargs = options[token]
+        if kwargs.get("action") == "store_true":
+            values[dest] = True
+            continue
+        value = next(tokens, None)
+        if value is None or value.startswith("-"):
+            return None
+        try:
+            value = kwargs.get("type", str)(value)
+        except ValueError:
+            return None
+        if "choices" in kwargs and value not in kwargs["choices"]:
+            return None
+        values[dest] = value
+    if positional or any(kwargs.get("required") and flag not in seen
+                         for flag, (_, kwargs) in options.items()):
+        return None
+    return argparse.Namespace(**values)
 
 
 def main(argv=None) -> int:
@@ -336,7 +394,9 @@ def main(argv=None) -> int:
     # Anything but a known command first (help, a typo, nothing) gets the
     # whole parser, which lists every command.
     command = argv[0] if argv and argv[0] in _COMMANDS else None
-    args = build_parser(command).parse_args(argv)
+    args = _read_args(command, argv[1:]) if command else None
+    if args is None:
+        args = build_parser(command).parse_args(argv)
     # Looked up per call, so that the command functions can be replaced.
     func = globals()["_cmd_" + args.command.replace("-", "_")]
     try:

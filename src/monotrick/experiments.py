@@ -29,8 +29,8 @@ from .search import _least_labelled, _renamed_masks, classical_evaluate
 from .semantics import compile_formula
 from .syntax import free_variables, letters, parse, render
 from .translations import (
-    COMPANIONS, ClassicalStructure, TranslationError, Variant,
-    build_companion_model, fresh_scheme, kripke_trick,
+    ClassicalStructure, TranslationError, Variant, build_companion_model,
+    companion, fresh_scheme, kripke_trick,
 )
 
 # A structure on the individuals 0..n-1 is numbered within its size by
@@ -116,9 +116,7 @@ class ExperimentReport:
 
 def trick_experiment(corpus, variant: Variant, size_bound: int) -> ExperimentReport:
     """Compare classical truth with companion-root truth of the translation."""
-    if variant not in COMPANIONS:
-        raise ValueError(
-            f"variant {variant.value} has no companion-model construction")
+    symmetric, _ = companion(variant)
     started = time.perf_counter()
     formulas = []  # (sentence, naming scheme, compiled translation)
     skipped = []
@@ -141,7 +139,6 @@ def trick_experiment(corpus, variant: Variant, size_bound: int) -> ExperimentRep
             continue
         formulas.append((f, scheme, compile_formula(translated, "modal")))
 
-    symmetric, _ = COMPANIONS[variant]
     structure_count, classes = _classes(size_bound, symmetric)
     representatives = [_structure(n, mask) for _, n, mask, _ in classes]
     agreement = 0

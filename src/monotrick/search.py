@@ -148,7 +148,11 @@ def parse_frame_class(text: str) -> FrameClass:
     alts = []
     for item in filter(None, (s.strip() for s in text.split(","))):
         if item.startswith("alt_"):
-            alts.append(int(item[4:]))
+            try:
+                alts.append(int(item[4:]))
+            except ValueError:
+                raise ValueError(f"frame class item {item!r}: alt_n needs an "
+                                 "integer n") from None
         else:
             props.add(item)
     return FrameClass(frozenset(props), min(alts, default=None))

@@ -446,23 +446,53 @@ class FragmentReport:
 
 
 def classify(f: Formula) -> FragmentReport:
-    """Compute the fragment membership report for f."""
-    arity = max(letters(f).values(), default=0)
+    """Compute the fragment membership report for f in one iterative
+    post-order walk: each subformula leaves its free variables and modal
+    depth on a stack for its parent.  Atoms are met left to right, as
+    ``letters`` meets them, so an arity conflict is reported alike."""
+    arities: dict[str, int] = {}
+    variables: set[str] = set()
     monodic, positive, has_eq = True, True, False
-    for g in subformulas(f):
-        if isinstance(g, (Box, Diamond)):
-            monodic = monodic and len(free_variables(g)) <= 1
-        elif isinstance(g, (Not, Falsum)):
+    done = []  # (free variables, modal depth) of finished subformulas
+    stack = [(f, False)]
+    while stack:
+        g, expanded = stack.pop()
+        kind, children = type(g), _children(g)
+        if children and not expanded:
+            stack.append((g, True))
+            stack.extend((c, False) for c in reversed(children))
+            continue
+        own = _variables(g)
+        variables.update(own)
+        if kind is Atom:
+            seen = arities.setdefault(g.letter, len(own))
+            if seen != len(own):
+                raise ArityConflictError(
+                    f"letter {g.letter!r} used with arity {len(own)} "
+                    f"after arity {seen}")
+        if len(children) == 2:
+            (free_r, depth_r), (free_l, depth_l) = done.pop(), done.pop()
+            done.append((free_l | free_r, max(depth_l, depth_r)))
+            continue
+        free, depth = done.pop() if children else (frozenset(own), 0)
+        if kind in (Box, Diamond):
+            monodic = monodic and len(free) <= 1
+            depth += 1
+        elif kind in (Forall, Exists):
+            free = free - {g.var}
+        elif kind in (Not, Falsum):
             positive = False
-        elif isinstance(g, Eq):
+        elif kind is Eq:
             has_eq = True
+        done.append((free, depth))
+    arity = max(arities.values(), default=0)
     return FragmentReport(
         is_monadic=arity <= 1,
         is_monodic=monodic,
         is_positive=positive,
         has_equality=has_eq,
-        variable_count=len(all_variables(f)),
-        modal_depth=modal_depth(f),
+        variable_count=len(variables),
+        modal_depth=done[0][1],
         max_letter_arity=arity,
     )
 

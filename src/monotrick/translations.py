@@ -187,6 +187,15 @@ COMPANIONS = {
 }
 
 
+def companion(variant: Variant):
+    """The COMPANIONS entry of variant; a TranslationError for a variant
+    without a companion-model construction."""
+    if variant not in COMPANIONS:
+        raise TranslationError(
+            f"no companion construction for variant {variant.value}")
+    return COMPANIONS[variant]
+
+
 def build_companion_model(m: ClassicalStructure, variant: Variant,
                           names: NamingScheme | None = None):
     """Companion Kripke model for a variant of COMPANIONS.
@@ -197,10 +206,7 @@ def build_companion_model(m: ClassicalStructure, variant: Variant,
     """
     if names is None:
         names = NamingScheme()
-    if variant not in COMPANIONS:
-        raise TranslationError(
-            f"no companion construction for variant {variant.value}")
-    symmetric_irreflexive, above_root = COMPANIONS[variant]
+    symmetric_irreflexive, above_root = companion(variant)
     if symmetric_irreflexive and not (m.is_symmetric() and m.is_irreflexive()):
         raise TranslationError(
             "NegDiamond1 requires a symmetric irreflexive relation")

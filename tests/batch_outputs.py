@@ -1,6 +1,8 @@
-"""Record, or check against a record, the exit code and standard output of
-every query in the first batch (batch 0) of each perfbench workload, seeds
-1-3, with the experiment's ``wall_time`` blanked.
+"""Record, or check against a record, the exit code, standard output and
+standard error of every query in the first batch (batch 0) of each
+perfbench workload, seeds 1-3, with the experiment's ``wall_time``
+blanked, and of a fixed list of edge and malformed command lines for
+each command (``EDGE_RECORD``).
 
     PYTHONPATH=src python -m tests.batch_outputs --write DIR
     PYTHONPATH=src python -m tests.batch_outputs --check DIR
@@ -8,16 +10,21 @@ every query in the first batch (batch 0) of each perfbench workload, seeds
 Run ``--write`` on the revision before a change and ``--check`` on the
 change: a change that should not alter any output must reproduce every
 record byte for byte.  ``--check`` exits 1 and names the differing
-queries otherwise.  The queries come from ``perfbench/workloads.py``,
-played through ``cli.main`` in process as the smoke test does.  This
+queries otherwise.  The batch queries come from ``perfbench/workloads.py``;
+every line is played through ``cli.main`` in process, and an argparse
+exit (help, a rejected line) is recorded with its exit code.  This
 module is not collected by pytest.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import importlib
+import io
 import json
+import os
 import pathlib
 import re
 import sys
@@ -28,12 +35,100 @@ MODULES = ("syntax", "semantics", "translations", "search", "experiments",
            "cli")
 WORKLOADS = ("sat-classes", "decide-frame", "trick-faithfulness")
 SEEDS = (1, 2, 3)
-WALL_TIME = re.compile(r'"wall_time": [-+0-9.eE]+')
+EDGE_RECORD = "edge-argv"
+WALL_TIME = re.compile(r'"wall_time": [-+0-9.eE]+|skipped; [0-9.]+s$',
+                       re.MULTILINE)
+
+# Input files of the edge lines, written to the work directory; a line
+# names one by its key, which may be part of an argument.
+FILES = {
+    "<model.json>": {"mode": "modal", "worlds": ["w0", "w1"],
+                   "access": [["w0", "w1"]],
+                   "domains": {"w0": ["a"], "w1": ["a", "b"]},
+                   "valuation": {"w0": {"Q": [["a"]]}, "w1": {"Q": [["b"]]}},
+                   "equality": {"principle": "eq3",
+                                "classes": {"w0": [["a"]],
+                                            "w1": [["a"], ["b"]]}}},
+    "<frame.json>": {"worlds": ["w0", "w1"], "access": [["w0", "w1"]]},
+    "<corpus.txt>": "exists x exists y P(x,y)\n",
+}
+
+# Options that take no value.
+FLAGS = ("--json", "--positivize", "--constant")
+
+# A well-formed line of each command, starting with an option; its first
+# int option, first option with choices and first required option (None
+# where it has none).
+BASE = {
+    "parse": (["--json", "<>(Q(x) & p)"], None, None, None),
+    "classify": (["--json", "<>Q(x) -> []Q(y)"], None, None, None),
+    "translate": (["--variant", "d2", "--positivize",
+                   "forall x exists y P(x,y)"], None, "--variant", "--variant"),
+    "validate": (["--model", "<model.json>"], None, None, "--model"),
+    "eval": (["--model", "<model.json>", "--world", "w0", "--assign", "x=a",
+              "<>Q(x)"], None, None, "--world"),
+    "check": (["--json", "--model", "<model.json>", "Q(x) | ~Q(x)"],
+              None, None, "--model"),
+    "sat": (["--worlds", "2", "--domain", "1", "--mode", "modal", "--class",
+             "reflexive", "--eq", "eq2", "<>p & ~p"],
+            "--domain", "--mode", "--worlds"),
+    "decide": (["--frame", "<frame.json>", "--domain", "1", "--eq", "eq1",
+                "--constant", "<>p -> []p"], "--domain", "--eq", "--frame"),
+    "frame-props": (["--frame", "<frame.json>"], None, None, "--frame"),
+    "experiment": (["--variant", "nd1", "--size", "2", "<corpus.txt>"],
+                   "--size", "--variant", "--size"),
+    "separate": (["--worlds", "1", "--domain", "1", "--max-steps", "50"],
+                 "--max-steps", None, None),
+}
+
+
+def edge_lines() -> list:
+    """The edge and malformed argv lines: three for the whole parser, then
+    for each command its well-formed line, ``-h``, an abbreviation,
+    ``--flag=value``, a repeated option, ``--``, a bad int, a bad choice,
+    a missing required option (or positional) and an unknown option."""
+    lines = [[], ["-h"], ["bogus", "p"]]
+    for command, (base, int_option, choice_option, required) in BASE.items():
+        first = base[0]
+        n = 1 if first in FLAGS else 2  # tokens of the first option
+        value = "yes" if first in FLAGS else base[1]
+        lines += [[command, *base], [command, "-h"],
+                  [command, first[:-1], *base[1:]],
+                  [command, f"{first}={value}", *base[n:]],
+                  [command, *base[:n], *base],
+                  [command, *base[:-1], "--", base[-1]]]
+        for option, bad in ((int_option, "x"), (choice_option, "bogus")):
+            if option is not None:
+                i = base.index(option)
+                lines.append([command, *base[:i + 1], bad, *base[i + 2:]])
+        if required is None:
+            lines.append([command, *base[:-1]])
+        else:
+            i = base.index(required)
+            lines.append([command, *base[:i], *base[i + 2:]])
+        lines.append([command, "--bogus", *base])
+    return lines
+
+
+def _play(cli, argv: list) -> list:
+    """[exit code, stdout, stderr] of one in-process ``cli.main`` call."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse: help, or a rejected line
+            code = exc.code
+    return [code, out.getvalue(), err.getvalue()]
+
+
+def _blank(text: str, workdir: str) -> str:
+    return WALL_TIME.sub(lambda m: '"wall_time": null' if m.group()[0] == '"'
+                         else "skipped; <wall>s", text).replace(workdir, "<workdir>")
 
 
 def batch_outputs(name: str, seed: int) -> list:
-    """[kind, argv, exit code, stdout] of each query of batch 0, in batch
-    order; the work directory's path reads ``<workdir>``."""
+    """[kind, argv, exit code, stdout, stderr] of each query of batch 0, in
+    batch order; the work directory's path reads ``<workdir>``."""
     sys.path.insert(0, str(PERFBENCH))
     try:
         workloads = importlib.import_module("workloads")
@@ -44,14 +139,39 @@ def batch_outputs(name: str, seed: int) -> list:
     workload = workloads.WORKLOADS[name]()
     with tempfile.TemporaryDirectory() as workdir:
         workload.setup(api, seed, workdir)
-        out = []
-        for q in workload.batch(seed, 0):
-            code, text = workload.run(q)
-            text = WALL_TIME.sub('"wall_time": null', text)
-            out.append([q.kind, [arg.replace(workdir, "<workdir>")
-                                 for arg in q.argv or ()],
-                        code, text.replace(workdir, "<workdir>")])
-    return out
+        return [[q.kind, [arg.replace(workdir, "<workdir>") for arg in q.argv],
+                 *(_blank(x, workdir) if isinstance(x, str) else x
+                   for x in _play(api["cli"], list(q.argv)))]
+                for q in workload.batch(seed, 0)]
+
+
+def edge_outputs() -> list:
+    """["edge", argv, exit code, stdout, stderr] of each line of
+    ``edge_lines()``; help is formatted for 80 columns."""
+    cli = importlib.import_module("monotrick.cli")
+    columns = os.environ.get("COLUMNS")
+    os.environ["COLUMNS"] = "80"
+    try:
+        with tempfile.TemporaryDirectory() as workdir:
+            paths = {}
+            for name, content in FILES.items():
+                paths[name] = os.path.join(workdir, name.strip("<>"))
+                with open(paths[name], "w", encoding="utf-8") as fh:
+                    fh.write(content if isinstance(content, str)
+                             else json.dumps(content))
+            out = []
+            for line in edge_lines():
+                argv = [functools.reduce(lambda a, kv: a.replace(*kv),
+                                         paths.items(), arg) for arg in line]
+                out.append(["edge", line, *(
+                    _blank(x, workdir) if isinstance(x, str) else x
+                    for x in _play(cli, argv))])
+            return out
+    finally:
+        if columns is None:
+            del os.environ["COLUMNS"]
+        else:
+            os.environ["COLUMNS"] = columns
 
 
 def main(argv=None) -> int:
@@ -66,28 +186,32 @@ def main(argv=None) -> int:
     directory = pathlib.Path(args.write or args.check)
     if args.write:
         directory.mkdir(parents=True, exist_ok=True)
+    records = [(f"{name}-seed{seed}", lambda n=name, s=seed: batch_outputs(n, s))
+               for name in WORKLOADS for seed in SEEDS]
+    records.append((EDGE_RECORD, edge_outputs))
     differing = total = 0
-    for name in WORKLOADS:
-        for seed in SEEDS:
-            path = directory / f"{name}-seed{seed}.json"
-            outputs = batch_outputs(name, seed)
-            total += len(outputs)
-            if args.write:
-                path.write_text(json.dumps(outputs, indent=1) + "\n",
-                                encoding="utf-8")
-                continue
-            recorded = json.loads(path.read_text(encoding="utf-8"))
-            if len(recorded) != len(outputs):
-                print(f"{path.name}: {len(outputs)} queries, "
-                      f"{len(recorded)} recorded")
+    for stem, outputs_of in records:
+        path = directory / f"{stem}.json"
+        outputs = outputs_of()
+        total += len(outputs)
+        if args.write:
+            path.write_text(json.dumps(outputs, indent=1) + "\n",
+                            encoding="utf-8")
+            continue
+        recorded = json.loads(path.read_text(encoding="utf-8"))
+        if len(recorded) != len(outputs):
+            print(f"{path.name}: {len(outputs)} queries, "
+                  f"{len(recorded)} recorded")
+            differing += 1
+            continue
+        for i, (got, want) in enumerate(zip(outputs, recorded)):
+            if got != want:
+                print(f"{path.name}: query {i} ({' '.join(got[1])}) "
+                      f"gives exit {got[2]}, recorded {want[2]}"
+                      + "".join(f"; {stream} differs" for stream, k in
+                                (("stdout", 3), ("stderr", 4))
+                                if got[k] != want[k]))
                 differing += 1
-                continue
-            for i, (got, want) in enumerate(zip(outputs, recorded)):
-                if got != want:
-                    print(f"{path.name}: query {i} ({' '.join(got[1])}) "
-                          f"gives exit {got[2]}, recorded {want[2]}"
-                          + ("" if got[3] == want[3] else "; stdout differs"))
-                    differing += 1
     verb = "recorded" if args.write else "checked"
     print(f"{total} outputs {verb}; {differing} differ")
     return 1 if differing else 0

@@ -151,6 +151,18 @@ def test_sat_step_cap_counts_only_checked_models(capsys):
     ("sat", "--worlds", "2", "--domain", "2", "false"),
     ("separate", "--worlds", "1", "--domain", "1"),
 ])
+def test_step_cap_variable_that_is_no_integer_exit_2(capsys, monkeypatch, argv):
+    monkeypatch.setenv("MONOTRICK_MAX_STEPS", "abc")
+    code, out, err = run(capsys, *argv)
+    assert out == ""
+    _assert_usage_error(code, err)
+    assert err == "error: MONOTRICK_MAX_STEPS must be an integer, not 'abc'\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("sat", "--worlds", "2", "--domain", "2", "false"),
+    ("separate", "--worlds", "1", "--domain", "1"),
+])
 def test_negative_step_cap_exit_2(capsys, monkeypatch, argv):
     code, out, err = run(capsys, *argv, "--max-steps", "-1")
     assert out == ""
@@ -371,6 +383,16 @@ def test_deep_formula_exit_2(capsys, text):
     code, _, err = run(capsys, "parse", text)
     _assert_usage_error(code, err)
     assert "nests deeper" in err
+
+
+@pytest.mark.parametrize("item", ["alt_x", "alt_"])
+def test_malformed_alt_bound_one_line_exit_2(capsys, item):
+    code, out, err = run(capsys, "sat", "--worlds", "1", "--domain", "1",
+                         "--class", f"reflexive,{item}", "p")
+    assert out == ""
+    _assert_usage_error(code, err)
+    assert err == (f"error: frame class item {item!r}: alt_n needs an "
+                   "integer n\n")
 
 
 @pytest.mark.parametrize("argv", [

@@ -10,7 +10,8 @@ from monotrick.search import classical_evaluate
 from monotrick.semantics import compile_formula
 from monotrick.syntax import parse, render
 from monotrick.translations import (
-    Variant, build_companion_model, fresh_scheme, kripke_trick,
+    ClassicalStructure, TranslationError, Variant, build_companion_model,
+    fresh_scheme, kripke_trick,
 )
 from tests.conftest import read_corpus
 
@@ -94,8 +95,13 @@ def test_sentence_with_propositional_letter_is_skipped():
 
 
 def test_positive_variants_rejected():
-    with pytest.raises(ValueError):
+    # One check and one text for a variant without a companion model.
+    s = ClassicalStructure((0,), frozenset())
+    message = "no companion construction for variant pi"
+    with pytest.raises(TranslationError, match=f"^{message}$"):
         trick_experiment([], Variant.POSITIVE_IMP, 1)
+    with pytest.raises(TranslationError, match=f"^{message}$"):
+        build_companion_model(s, Variant.POSITIVE_IMP)
 
 
 def test_report_round_trips():

@@ -4,8 +4,8 @@ import pytest
 
 from monotrick.syntax import (
     MAX_DEPTH, And, Atom, ArityConflictError, Box, Diamond, Eq, Exists, Falsum,
-    Forall, Iff, Implies, Not, Or, ParseError, Verum, classify, free_variables,
-    letters, modal_depth, nesting_depth, parse, render,
+    Forall, Iff, Implies, Not, Or, ParseError, Verum, all_variables, classify,
+    free_variables, letters, modal_depth, nesting_depth, parse, render,
 )
 
 
@@ -228,6 +228,42 @@ class TestClassify:
                     assert classify(g.body).is_monodic
                     checked += 1
         assert checked > 0
+
+    def test_one_walk_agrees_with_the_separate_queries(self):
+        """classify's single walk against the report assembled from
+        letters, free_variables, all_variables and modal_depth; a third of
+        the formulas repeat a letter at another arity, and both must
+        raise the same ArityConflictError."""
+        from monotrick.syntax import subformulas
+
+        def reference(f):
+            arity = max(letters(f).values(), default=0)
+            return (arity <= 1,
+                    all(len(free_variables(g)) <= 1 for g in subformulas(f)
+                        if isinstance(g, (Box, Diamond))),
+                    not any(isinstance(g, (Not, Falsum))
+                            for g in subformulas(f)),
+                    any(isinstance(g, Eq) for g in subformulas(f)),
+                    len(all_variables(f)), modal_depth(f), arity)
+
+        def outcome(query, f):
+            try:
+                return query(f)
+            except ArityConflictError as exc:
+                return str(exc)
+
+        rng = random.Random(5)
+        conflicts = 0
+        for i in range(600):
+            f = random_formula(rng, depth=5, vars_in_scope=["x", "y"])
+            if i % 3 == 0:
+                f = Or(Atom("Q1", ("x", "y")) if i % 2 else f,
+                       And(f, Atom("Q1", ("x",))) if i % 2 else Atom("P", ()))
+            want = outcome(reference, f)
+            got = outcome(lambda g: tuple(classify(g).to_dict().values()), f)
+            assert got == want, render(f)
+            conflicts += isinstance(want, str)
+        assert conflicts > 50
 
 
 def _rename_bound(f, mapping):
