@@ -68,6 +68,14 @@ def _read_formula(arg: str) -> syntax.Formula:
     return parse(arg)
 
 
+def _load(load, option: str, path: str):
+    """load(path), the file given as option, naming both if not JSON."""
+    try:
+        return load(path)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise UsageError(f"{option} {path}: not a JSON file: {exc}") from None
+
+
 def _read_corpus(path: str) -> list[syntax.Formula]:
     """The sentences of a corpus file, one a line."""
     corpus = []
@@ -153,7 +161,7 @@ def _cmd_translate(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    model = load_model(args.model)
+    model = _load(load_model, "--model", args.model)
     violations = validate_model(model)
     payload = {"violations": [{"name": v.name, "witness": v.witness}
                               for v in violations]}
@@ -163,7 +171,7 @@ def _cmd_validate(args) -> int:
 
 
 def _load_checked_model(path: str, f: syntax.Formula) -> semantics.Model:
-    model = load_model(path)
+    model = _load(load_model, "--model", path)
     violations = validate_model(model)
     if violations:
         raise UsageError("model fails validation: " + str(violations[0]))
@@ -208,7 +216,7 @@ def _cmd_sat(args) -> int:
 
 def _cmd_decide(args) -> int:
     verdict = decide_valid_over_frame(
-        load_frame(args.frame),
+        _load(load_frame, "--frame", args.frame),
         _read_formula(args.formula),
         domain_bound=args.domain,
         mode=args.mode,
@@ -220,7 +228,7 @@ def _cmd_decide(args) -> int:
 
 
 def _cmd_frame_props(args) -> int:
-    report = frame_properties(load_frame(args.frame))
+    report = frame_properties(_load(load_frame, "--frame", args.frame))
     human = "\n".join(f"{k}: {v}" for k, v in report.to_dict().items())
     _emit(report.to_dict(), human, args.json)
     return EXIT_OK
@@ -407,8 +415,7 @@ def main(argv=None) -> int:
         # The interpreter flushes stdout again at exit: let it write nowhere.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
-    except (ParseError, UsageError, ValueError, OSError,
-            json.JSONDecodeError) as exc:
+    except (ParseError, UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # a bug, not a verdict: keep it off exit 1

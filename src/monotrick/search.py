@@ -19,9 +19,8 @@ first hit as a search of every frame:
   validity on a frame.  A hit on a frame that its world does not
   generate is thus also a hit on a frame with fewer worlds, which comes
   first.
-- In intuitionistic mode, only the one-world frame.  Truth persists up
-  to a final cluster, whose worlds have equal domains, valuations and
-  equality classes, so the cluster collapses onto one reflexive world.
+- ``sat_bounded`` in intuitionistic mode and for a formula without
+  modalities: only the first one-world frame of the class (see there).
 
 Both those searches and ``decide_valid_over_frame`` check models once
 per renaming of individuals:
@@ -54,17 +53,13 @@ They also skip what the formula cannot observe, per ``syntax.classify``:
   and no larger one elsewhere, which comes earlier and has the same
   truth values, since the formula cannot tell twins apart.  So the first
   hit has no twins.
-- One world.  In modal mode ``sat_bounded`` and
-  ``decide_valid_over_frame`` first scan a formula without modalities on
-  a one-world frame without edges, for a witness or a countermodel
-  respectively.  Such a formula is true at a world exactly when it is
-  true in the world's one-world restriction (the same domain, valuation
-  and partition; one world without edges has no heredity to keep).  So a
-  hit on any frame restricts to a hit on the one world, and if the one
-  world has none, the search stops there, whatever the frame or class.
-  If it has one, the frames are searched for their first hit.
-  Intuitionistic ``->``, ``~`` and ``forall`` look at successors, so that
-  mode is excluded.
+- One world.  In modal mode a formula without modalities is true at a
+  world exactly when it is true in the world alone, on a one-world frame
+  with or without a loop (generated submodels: Blackburn, de Rijke &
+  Venema, *Modal Logic*, 2001, section 2.1).  So on a frame of more than
+  one world ``decide_valid_over_frame`` first checks the world without
+  edges: no countermodel there means none on the frame.  Intuitionistic
+  ``->``, ``~`` and ``forall`` look at successors; that mode is excluded.
 
 Equality under eq2.  Each world's eq2 equality is a congruence, and along
 an edge w -> v a and b in D(w) are equal at w exactly when they are at v,
@@ -88,22 +83,21 @@ eq2 equalities agree at every world, and so do the quotient's sizes.)
 ``enumerate_models`` yields every eq2 equality.
 
 ``sat_bounded`` and ``decide_valid_over_frame`` run one scan,
-``_search``: it walks the models of ``_models``, counts each model it
-checks as one step, tests it with ``first_point`` and builds the verdict.
+``_search``: one loop that counts each model of ``_models`` on the frames
+given as one step, tests it with ``first_point`` and builds the verdict.
 Under a step cap (``max_steps``) the skipped frames and models count no
 steps, so a capped search can give a definite answer where the full
-search would have run out of steps; it never gives a different one.  The
-one-world scan counts up to the cap on its own, and a scan of the frames
-after it counts from zero again, so the frames give a capped search the
-verdict they gave without the scan.
+search would have run out of steps; it never gives a different one.
+``decide``'s check of the world without edges counts on its own, so the
+frame's scan after it gives the verdict it gave without the check.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, make_dataclass
 from functools import cache, lru_cache
-from itertools import permutations, product
+from itertools import islice, permutations, product
 
 from .semantics import (
     Equality, Frame, Model, compile_formula, evaluate, first_point,
@@ -116,9 +110,31 @@ from .syntax import (
 )
 from .translations import ClassicalStructure
 
-PROPERTY_NAMES = ("reflexive", "transitive", "symmetric", "serial",
-                  "euclidean", "linear", "partial_order",
-                  "irreflexive_transitive")
+def _reflexive(ws, acc) -> bool:
+    return all((w, w) in acc for w in ws)
+
+
+def _transitive(ws, acc) -> bool:
+    return all((a, c) in acc for (a, b) in acc for (b2, c) in acc if b == b2)
+
+
+# Each frame-class property by its direct definition on the worlds ws and
+# the edges acc, in the order frame-props reports them.
+_PROPERTIES = {
+    "reflexive": _reflexive,
+    "transitive": _transitive,
+    "symmetric": lambda ws, acc: all((b, a) in acc for (a, b) in acc),
+    "serial": lambda ws, acc: all(any((w, v) in acc for v in ws) for w in ws),
+    "euclidean": lambda ws, acc: all(
+        (b, c) in acc for (a, b) in acc for (a2, c) in acc if a == a2),
+    "linear": lambda ws, acc: _transitive(ws, acc) and all(
+        (a, b) in acc or (b, a) in acc for a in ws for b in ws),
+    "partial_order": lambda ws, acc: _reflexive(ws, acc) and _transitive(
+        ws, acc) and all(a == b for (a, b) in acc if (b, a) in acc),
+    "irreflexive_transitive": lambda ws, acc: all(
+        (w, w) not in acc for w in ws) and _transitive(ws, acc),
+}
+PROPERTY_NAMES = tuple(_PROPERTIES)
 
 
 @dataclass(frozen=True)
@@ -158,56 +174,29 @@ def parse_frame_class(text: str) -> FrameClass:
     return FrameClass(frozenset(props), min(alts, default=None))
 
 
-@dataclass(frozen=True)
-class PropertyReport:
-    reflexive: bool
-    transitive: bool
-    symmetric: bool
-    serial: bool
-    euclidean: bool
-    linear: bool
-    partial_order: bool
-    irreflexive_transitive: bool
-    max_out_degree: int
-
-    def to_dict(self) -> dict:
-        return {name: getattr(self, name) for name in PROPERTY_NAMES} | {
-            "max_out_degree": self.max_out_degree}
+# A frame's value of each property and its largest out-degree.
+PropertyReport = make_dataclass(
+    "PropertyReport",
+    [(name, bool) for name in PROPERTY_NAMES] + [("max_out_degree", int)],
+    frozen=True, namespace={"__module__": __name__,
+                            "to_dict": lambda self: asdict(self)})
 
 
 def frame_properties(fr: Frame) -> PropertyReport:
     """Compute every frame-class property by direct definition."""
-    ws = fr.worlds
-    acc = fr.access
-    reflexive = all((w, w) in acc for w in ws)
-    irreflexive = all((w, w) not in acc for w in ws)
-    symmetric = all((b, a) in acc for (a, b) in acc)
-    transitive = all((a, c) in acc
-                     for (a, b) in acc for (b2, c) in acc if b == b2)
-    serial = all(any((w, v) in acc for v in ws) for w in ws)
-    euclidean = all((b, c) in acc
-                    for (a, b) in acc for (a2, c) in acc if a == a2)
-    total = all((a, b) in acc or (b, a) in acc for a in ws for b in ws)
-    antisymmetric = all(a == b for (a, b) in acc if (b, a) in acc)
-    out_degree = max(len(fr.successors(w)) for w in ws) if ws else 0
     return PropertyReport(
-        reflexive=reflexive,
-        transitive=transitive,
-        symmetric=symmetric,
-        serial=serial,
-        euclidean=euclidean,
-        linear=transitive and total,
-        partial_order=reflexive and transitive and antisymmetric,
-        irreflexive_transitive=irreflexive and transitive,
-        max_out_degree=out_degree,
-    )
+        **{name: holds(fr.worlds, fr.access)
+           for name, holds in _PROPERTIES.items()},
+        max_out_degree=max(map(len, fr.succ.values()), default=0))
 
 
 def frame_matches(fr: Frame, cls: FrameClass) -> bool:
-    report = frame_properties(fr)
-    if any(not getattr(report, name) for name in cls.properties):
+    """Whether fr is in cls; only the class's own properties are tested."""
+    if cls.alt_bound is not None and any(
+            len(succ) > cls.alt_bound for succ in fr.succ.values()):
         return False
-    return cls.alt_bound is None or report.max_out_degree <= cls.alt_bound
+    return all(_PROPERTIES[name](fr.worlds, fr.access)
+               for name in cls.properties)
 
 
 def _frames(world_bound: int, cls: FrameClass, keep):
@@ -630,55 +619,38 @@ class Verdict:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
 
-def _search(frames, f: Formula, bounds: dict, max_steps: int | None,
-            value: bool, outcomes: tuple, warnings: list) -> Verdict:
+def _search(frames, f: Formula, report, bounds: dict,
+            max_steps: int | None, value: bool, outcomes: tuple,
+            warnings: list) -> Verdict:
     """The verdict of the first model on frames, with its first point
     (semantics.first_point) at which f evaluates to value: outcomes[0]
     with that witness, outcomes[1] if there is none, or bound_exhausted
     when the frames' models spend max_steps, each model checked being
-    one step.  bounds, the verdict's bounds_used, gives the mode,
-    domain_bound, eq_principle and constant_domains of the search.
-
-    In modal mode a formula without modalities is first scanned on one
-    world without edges, with a step count of its own; if nothing is hit
-    there, nothing is hit on frames (see the module docstring).  frames
-    given as a list of one one-world frame are scanned alone: the scan
-    of that world is the scan of the frame, the same models counted the
-    same way."""
+    one step.  report is classify(f); bounds, the verdict's bounds_used,
+    gives the mode, domain_bound, eq_principle and constant_domains of
+    the search."""
     if max_steps is not None and max_steps < 0:
         raise ValueError(f"step cap must be >= 0, got {max_steps}")
     limit = float("inf") if max_steps is None else max_steps
-    mode, domain_bound = bounds["mode"], bounds["domain_bound"]
-    eq_principle, constant = bounds["eq_principle"], bounds["constant_domains"]
-    letter_arities = letters(f)
-    report = classify(f)
+    letter_arities, mode = letters(f), bounds["mode"]
     compiled = compile_formula(f, mode)
-
-    def scan(frames) -> Verdict:
-        steps = 0
-        for frame in frames:
-            for model in _models(frame, letter_arities, domain_bound, mode,
-                                 eq_principle, constant, True,
-                                 report.has_equality):
-                steps += 1
-                if steps > limit:
-                    return Verdict("bound_exhausted",
-                                   bounds | {"max_steps": max_steps},
-                                   warnings=warnings)
-                point = first_point(model, compiled, value)
-                if point is not None:
-                    return Verdict(outcomes[0], bounds, model=model,
-                                   world=point[0], assignment=point[1],
-                                   warnings=warnings)
-        return Verdict(outcomes[1], bounds, warnings=warnings)
-
-    one_world = isinstance(frames, list) and len(frames) == 1 \
-        and len(frames[0].worlds) == 1
-    if mode == "modal" and report.modal_depth == 0 and not one_world:
-        verdict = scan([Frame(("w0",), frozenset())])
-        if verdict.outcome == outcomes[1]:
-            return verdict
-    return scan(frames)
+    steps = 0
+    for frame in frames:
+        for model in _models(frame, letter_arities, bounds["domain_bound"],
+                             mode, bounds["eq_principle"],
+                             bounds["constant_domains"], True,
+                             report.has_equality):
+            steps += 1
+            if steps > limit:
+                return Verdict("bound_exhausted",
+                               bounds | {"max_steps": max_steps},
+                               warnings=warnings)
+            point = first_point(model, compiled, value)
+            if point is not None:
+                return Verdict(outcomes[0], bounds, model=model,
+                               world=point[0], assignment=point[1],
+                               warnings=warnings)
+    return Verdict(outcomes[1], bounds, warnings=warnings)
 
 
 def sat_bounded(f: Formula, cls: FrameClass, world_bound: int, domain_bound: int,
@@ -689,9 +661,19 @@ def sat_bounded(f: Formula, cls: FrameClass, world_bound: int, domain_bound: int
 
     The witness is the first one in the order of enumerate_frames.  Only
     the point-generated frames of one isomorphism class each are visited
-    (see the module docstring), and in intuitionistic mode only the
-    one-world frame: a final cluster above the witness world collapses
-    onto it.  The verdict still reports the requested world_bound.
+    (see the module docstring), and in intuitionistic mode and for a
+    formula without modalities only the first one-world frame of the
+    class.  That is exact: a final intuitionistic cluster collapses onto
+    one reflexive world, and a formula without modalities cannot see past
+    its world, so a witness on a frame of the class gives one on each
+    one-world frame of the class.  And a class has a frame iff it
+    has a one-world frame: each property, and alt_n for n >= 1, holds on
+    the world without edges or on the reflexive world; reflexive,
+    serial, linear and partial_order fail only on the first,
+    irreflexive_transitive and alt_0 only on the second, and a class
+    with one of each has no finite frame.  The one-world frames come
+    first, so the first frame of the class carries the first witness, or
+    no frame does.  The verdict still reports the requested world_bound.
     """
     if world_bound < 1 or domain_bound < 1:
         raise ValueError("bounds must be >= 1")
@@ -700,8 +682,12 @@ def sat_bounded(f: Formula, cls: FrameClass, world_bound: int, domain_bound: int
     bounds = {"world_bound": world_bound, "domain_bound": domain_bound,
               "mode": mode, "eq_principle": eq_principle,
               "constant_domains": constant_domains}
-    frames = _generated_frames(1 if mode == "int" else world_bound, cls)
-    return _search(frames, f, bounds, max_steps, True,
+    report = classify(f)
+    if mode == "int" or report.modal_depth == 0:
+        frames = islice(_generated_frames(1, cls), 1)
+    else:
+        frames = _generated_frames(world_bound, cls)
+    return _search(frames, f, report, bounds, max_steps, True,
                    ("satisfiable", "unsatisfiable_up_to_bound"), [])
 
 
@@ -731,13 +717,19 @@ def decide_valid_over_frame(fr: Frame, f: Formula, domain_bound: int | None = No
     bounds = {"domain_bound": domain_bound, "mode": mode,
               "eq_principle": eq_principle, "constant_domains": constant_domains,
               "domain_bound_heuristic": heuristic}
-    warnings = []
-    if max(letters(f).values(), default=0) > 1:
-        warnings.append("formula is not monadic; the fixed-frame "
-                        "decidability guarantee does not apply")
-    return _search([fr], f, bounds, max_steps, False, (
-        "countermodel", "no_countermodel_up_to_bound" if heuristic else "valid"),
-        warnings)
+    report = classify(f)
+    warnings = [] if report.is_monadic else [
+        "formula is not monadic; the fixed-frame decidability guarantee "
+        "does not apply"]
+    outcomes = ("countermodel",
+                "no_countermodel_up_to_bound" if heuristic else "valid")
+    if mode == "modal" and report.modal_depth == 0 and len(fr.worlds) > 1:
+        verdict = _search([Frame(("w0",), frozenset())], f, report, bounds,
+                          max_steps, False, outcomes, warnings)
+        if verdict.outcome == outcomes[1]:
+            return verdict
+    return _search([fr], f, report, bounds, max_steps, False, outcomes,
+                   warnings)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Record, or check against a record, the exit code, standard output and
 standard error of every query in the first batch (batch 0) of each
 perfbench workload, seeds 1-3, with the experiment's ``wall_time``
-blanked, and of a fixed list of edge and malformed command lines for
-each command (``EDGE_RECORD``).
+blanked, of a fixed list of edge and malformed command lines for each
+command (``EDGE_RECORD``), and of capped ``sat`` lines for formulas
+without modalities (``CAPPED_RECORD``).
 
     PYTHONPATH=src python -m tests.batch_outputs --write DIR
     PYTHONPATH=src python -m tests.batch_outputs --check DIR
@@ -36,6 +37,7 @@ MODULES = ("syntax", "semantics", "translations", "search", "experiments",
 WORKLOADS = ("sat-classes", "decide-frame", "trick-faithfulness")
 SEEDS = (1, 2, 3)
 EDGE_RECORD = "edge-argv"
+CAPPED_RECORD = "capped-sat"
 WALL_TIME = re.compile(r'"wall_time": [-+0-9.eE]+|skipped; [0-9.]+s$',
                        re.MULTILINE)
 
@@ -110,6 +112,24 @@ def edge_lines() -> list:
     return lines
 
 
+# Formulas without modalities, one satisfiable and one not, that each
+# check ONE_WORLD_MODELS models at --domain 2 on the one-world frame of a
+# class; the last class has no frame.
+CAPPED_FORMULAS = ("exists x exists y (Q(x) & ~Q(y) & p)",
+                   "exists x (Q(x) & ~Q(x)) | (p & ~p)")
+CAPPED_CLASSES = ("", "reflexive", "serial,irreflexive_transitive")
+ONE_WORLD_MODELS = 6
+
+
+def capped_lines() -> list:
+    """``sat`` of each capped formula in each capped class, capped at 0,
+    1, one step short of the one-world models and at their number."""
+    return [["sat", "--json", "--worlds", "3", "--domain", "2", "--class",
+             cls, "--max-steps", str(cap), text]
+            for text in CAPPED_FORMULAS for cls in CAPPED_CLASSES
+            for cap in (0, 1, ONE_WORLD_MODELS - 1, ONE_WORLD_MODELS)]
+
+
 def _play(cli, argv: list) -> list:
     """[exit code, stdout, stderr] of one in-process ``cli.main`` call."""
     out, err = io.StringIO(), io.StringIO()
@@ -174,6 +194,13 @@ def edge_outputs() -> list:
             os.environ["COLUMNS"] = columns
 
 
+def capped_outputs() -> list:
+    """["capped", argv, exit code, stdout, stderr] of each line of
+    ``capped_lines()``."""
+    cli = importlib.import_module("monotrick.cli")
+    return [["capped", line, *_play(cli, line)] for line in capped_lines()]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m tests.batch_outputs", description=__doc__.split("\n")[0])
@@ -188,7 +215,7 @@ def main(argv=None) -> int:
         directory.mkdir(parents=True, exist_ok=True)
     records = [(f"{name}-seed{seed}", lambda n=name, s=seed: batch_outputs(n, s))
                for name in WORKLOADS for seed in SEEDS]
-    records.append((EDGE_RECORD, edge_outputs))
+    records += [(EDGE_RECORD, edge_outputs), (CAPPED_RECORD, capped_outputs)]
     differing = total = 0
     for stem, outputs_of in records:
         path = directory / f"{stem}.json"

@@ -215,6 +215,31 @@ def test_frame_props_json(capsys, frame_file):
     assert payload["max_out_degree"] == 1
 
 
+# The commands that read a frame or model file, with the file's option.
+FILE_COMMANDS = {
+    "decide": ("--frame", ["--domain", "1", "p"]),
+    "frame-props": ("--frame", []),
+    "validate": ("--model", []),
+    "eval": ("--model", ["--world", "w0", "p"]),
+    "check": ("--model", ["p"]),
+}
+
+
+@pytest.mark.parametrize("content", (b"", b"\xff\xfe{}", b'{"worlds": ['),
+                         ids=("empty", "not-utf8", "truncated"))
+@pytest.mark.parametrize("command", FILE_COMMANDS)
+def test_file_that_is_not_json_names_option_and_path(capsys, tmp_path,
+                                                     command, content):
+    option, rest = FILE_COMMANDS[command]
+    path = tmp_path / "input.json"
+    path.write_bytes(content)
+    code, out, err = run(capsys, command, option, str(path), *rest)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {option} {path}: not a JSON file: ")
+    assert err.count("\n") == 1
+
+
 def test_formula_from_file(capsys, tmp_path):
     path = tmp_path / "f.txt"
     path.write_text("p | ~p  # excluded middle\n")

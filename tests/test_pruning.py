@@ -10,13 +10,14 @@ test-side reference."""
 import json
 import random
 from collections import Counter
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 import pytest
 
 from monotrick import cli, search
 from monotrick.search import (
-    FrameClass, Verdict, _set_partitions, decide_valid_over_frame,
+    PROPERTY_NAMES, FrameClass, Verdict, _set_partitions,
+    decide_valid_over_frame,
     enumerate_frames, enumerate_frames_up_to_iso, enumerate_models,
     eq_separation_search, frame_matches, parse_frame_class, sat_bounded,
 )
@@ -398,9 +399,41 @@ def test_modality_free_valid_decide_checks_one_world(monkeypatch):
             assert all(not m.frame.access for m in checked)
 
 
+EDGELESS = Frame(("w0",), frozenset())
+LOOP = Frame(("w0",), frozenset({("w0", "w0")}))
+
+# Every class of at most two properties or alt_n bounds.
+SMALL_CLASSES = [",".join(items) for k in range(3) for items in
+                 combinations((*PROPERTY_NAMES, "alt_0", "alt_1"), k)]
+
+
+def _one_world_frame(cls):
+    """The one-world frame of the class that sat searches a formula
+    without modalities on: the one without edges if the class has it, else
+    the reflexive one, or None if the class has neither."""
+    return next((fr for fr in (EDGELESS, LOOP) if frame_matches(fr, cls)),
+                None)
+
+
+def test_class_has_a_frame_iff_it_has_a_one_world_frame():
+    """The lemma behind sat's one-world rule: a class has a frame of at
+    most three worlds exactly when it has one of one world."""
+    empty = []
+    for cls_text in SMALL_CLASSES:
+        cls = parse_frame_class(cls_text)
+        has_frame = next(enumerate_frames(3, cls), None) is not None
+        assert has_frame == (_one_world_frame(cls) is not None), cls_text
+        if not has_frame:
+            empty.append(cls_text)
+    assert {"serial,irreflexive_transitive", "reflexive,alt_0",
+            "linear,irreflexive_transitive"} <= set(empty)
+
+
 def test_modality_free_unsatisfiable_sat_checks_one_world(monkeypatch):
-    """An unsatisfiable formula without modalities is checked on the
-    one-world frame without edges only, in every class."""
+    """An unsatisfiable formula without modalities is checked on one
+    one-world frame of the class only: the one without edges if the class
+    has it, else the reflexive one.  A class without frames checks no
+    model."""
     checked = []
 
     def recording(m, compiled, value):
@@ -408,15 +441,68 @@ def test_modality_free_unsatisfiable_sat_checks_one_world(monkeypatch):
         return first_point(m, compiled, value)
     monkeypatch.setattr(search, "first_point", recording)
     f = parse("exists x (Q(x) & ~Q(x)) | (p & ~p)")
-    for cls_text in (*CLASSES, "serial,irreflexive_transitive"):
+    for cls_text in (*CLASSES, "irreflexive_transitive",
+                     "serial,irreflexive_transitive"):
+        cls = parse_frame_class(cls_text)
+        on = _one_world_frame(cls)
         for eq_principle in PRINCIPLES:
             checked.clear()
-            verdict = sat_bounded(f, parse_frame_class(cls_text), 3, 2,
-                                  "modal", eq_principle)
+            verdict = sat_bounded(f, cls, 3, 2, "modal", eq_principle)
             assert verdict.outcome == "unsatisfiable_up_to_bound"
-            assert checked
-            assert all(m.frame == Frame(("w0",), frozenset())
-                       for m in checked), cls_text
+            assert {m.frame for m in checked} == ({on} if on else set()), \
+                (cls_text, eq_principle)
+
+
+# Without modalities: satisfiable on one world, unsatisfiable, and with =.
+MODALITY_FREE = ("exists x exists y (Q(x) & ~Q(y))",
+                 "exists x (Q(x) & ~Q(x)) | (p & ~p)",
+                 "exists x exists y ~(x = y) & forall x (Q(x) | p)")
+
+
+@pytest.mark.parametrize("text", MODALITY_FREE)
+def test_modality_free_capped_sat_counts_one_frame(monkeypatch, text):
+    """In every small class, sat of a formula without modalities checks
+    models on the class's one-world frame only.  Capped below their number
+    it is bound_exhausted, and from their number on it gives the uncapped
+    verdict.  An unsatisfiable formula checks every model of that frame."""
+    checked = []
+
+    def recording(m, compiled, value):
+        checked.append(m)
+        return first_point(m, compiled, value)
+    monkeypatch.setattr(search, "first_point", recording)
+    f = parse(text)
+    for cls_text in SMALL_CLASSES:
+        cls = parse_frame_class(cls_text)
+        on = _one_world_frame(cls)
+        checked.clear()
+        uncapped = sat_bounded(f, cls, 3, 2)
+        models = len(checked)
+        assert {m.frame for m in checked} == ({on} if on else set()), \
+            cls_text
+        if on and uncapped.outcome == "unsatisfiable_up_to_bound":
+            assert models == len(list(search._models(
+                on, letters(f), 2, "modal", "eq3", constant_domains=False,
+                leaders_only=True,
+                sees_equality=search.classify(f).has_equality)))
+        for cap in range(models + 3):
+            capped = sat_bounded(f, cls, 3, 2, max_steps=cap)
+            if cap < models:
+                assert capped.outcome == "bound_exhausted", (cls_text, cap)
+            else:
+                assert capped.to_json() == uncapped.to_json(), (cls_text, cap)
+
+
+@pytest.mark.parametrize("text", (*MODALITY_FREE, "p & <>~p"))
+def test_sat_in_small_classes_matches_unpruned_reference(text):
+    """sat in every small class gives the verdict of a walk over every
+    labelled frame: for formulas without modalities, and for one of modal
+    depth 1 whose witness needs two worlds."""
+    f = parse(text)
+    for cls_text in SMALL_CLASSES:
+        cls = parse_frame_class(cls_text)
+        assert sat_bounded(f, cls, 2, 1).to_json() == \
+            reference_sat(f, cls, 2, 1, "modal", "eq3"), cls_text
 
 
 def test_modality_free_capped_decide_counts_the_frame_alone(monkeypatch):
