@@ -21,6 +21,10 @@ first hit as a search of every frame:
   first.
 - ``sat_bounded`` in intuitionistic mode and for a formula without
   modalities: only the first one-world frame of the class (see there).
+- ``sat_bounded`` tests each model only at the worlds that generate its
+  frame (``_roots``).  A hit at another world is a hit on the subframe
+  that world generates, which has fewer worlds, is in the class (as
+  above) and comes first.
 
 Both those searches and ``decide_valid_over_frame`` check models once
 per renaming of individuals:
@@ -53,13 +57,25 @@ They also skip what the formula cannot observe, per ``syntax.classify``:
   and no larger one elsewhere, which comes earlier and has the same
   truth values, since the formula cannot tell twins apart.  So the first
   hit has no twins.
-- One world.  In modal mode a formula without modalities is true at a
-  world exactly when it is true in the world alone, on a one-world frame
-  with or without a loop (generated submodels: Blackburn, de Rijke &
-  Venema, *Modal Logic*, 2001, section 2.1).  So on a frame of more than
-  one world ``decide_valid_over_frame`` first checks the world without
-  edges: no countermodel there means none on the frame.  Intuitionistic
-  ``->``, ``~`` and ``forall`` look at successors; that mode is excluded.
+- Views.  A formula of modal depth d evaluated at a world w sees only
+  the worlds within d steps of w and the edges leaving those within
+  d - 1 steps (generated submodels: Blackburn, de Rijke & Venema, *Modal
+  Logic*, 2001, section 2.1).  Intuitionistic ``->``, ``~`` and
+  ``forall`` look at every later world, so in that mode d is unbounded.
+  ``_view`` is that subframe with its worlds renamed, w first; at d = 0
+  it is w without edges.  A model's restriction to a view is a model of
+  the same kind (domains grow and equalities and intuitionistic
+  valuations are hereditary along the edges kept, constant domains stay
+  constant) with the same truth at w.  So on a frame of more than one
+  world ``decide_valid_over_frame`` first checks, at its root w0,
+  each distinct view with fewer worlds than the frame, smallest first.
+  If all of them are valid, no countermodel on the frame fails at a world
+  with a smaller view, and the frame's models are tested only at the
+  worlds whose view has every world; if there are none, the frame is
+  not scanned.  A view's countermodel need not extend to the frame (the
+  Barcan formula is valid on a 3-cycle, which forces equal domains, but
+  not on its view w0 -> w1), so then, and when a view runs out of steps,
+  the frame is scanned at every world.
 
 Equality under eq2.  Each world's eq2 equality is a congruence, and along
 an edge w -> v a and b in D(w) are equal at w exactly when they are at v,
@@ -88,8 +104,9 @@ given as one step, tests it with ``first_point`` and builds the verdict.
 Under a step cap (``max_steps``) the skipped frames and models count no
 steps, so a capped search can give a definite answer where the full
 search would have run out of steps; it never gives a different one.
-``decide``'s check of the world without edges counts on its own, so the
-frame's scan after it gives the verdict it gave without the check.
+Each of ``decide``'s view checks counts on its own, so the frame's scan
+after them gives the verdict it gave without them, or, where there is
+no scan, the verdict of the views.
 """
 
 from __future__ import annotations
@@ -295,6 +312,42 @@ def _generated_frames(world_bound: int, cls: FrameClass = FrameClass()):
     same order: the frames that can carry the first hit of a search."""
     return _frames(world_bound, cls, lambda n, mask: _least_labelled(n, mask)
                    and _point_generated(n, mask))
+
+
+def _ball(fr: Frame, w: str, d: float) -> tuple:
+    """The worlds within d steps of the world w of fr, w first and the
+    others as a breadth-first walk meets them, and the edges leaving the
+    worlds within d - 1 steps."""
+    seen, frontier, edges = {w: None}, [w], []
+    while frontier and d > 0:
+        d -= 1
+        reached = []
+        for u in frontier:
+            for v in fr.successors(u):
+                edges.append((u, v))
+                if v not in seen:
+                    seen[v] = None
+                    reached.append(v)
+        frontier = reached
+    return seen, edges
+
+
+def _view(fr: Frame, w: str, d: float) -> Frame:
+    """What a formula of modal depth d sees from the world w of fr: the
+    subframe of _ball(fr, w, d) with its worlds renamed w0, w1, ... in
+    its order.  At d = 0 it is w without edges; unbounded, the subframe
+    that w generates."""
+    worlds, edges = _ball(fr, w, d)
+    name = {v: f"w{i}" for i, v in enumerate(worlds)}
+    return Frame(tuple(name.values()),
+                 frozenset((name[u], name[v]) for u, v in edges))
+
+
+def _roots(fr: Frame) -> list:
+    """The worlds of fr whose unbounded view is all of fr: the worlds
+    that generate it."""
+    return [w for w in fr.worlds if len(_ball(fr, w, float("inf"))[0])
+            == len(fr.worlds)]
 
 
 # ---------------------------------------------------------------------------
@@ -626,18 +679,20 @@ def _search(frames, f: Formula, report, bounds: dict,
     (semantics.first_point) at which f evaluates to value: outcomes[0]
     with that witness, outcomes[1] if there is none, or bound_exhausted
     when the frames' models spend max_steps, each model checked being
-    one step.  report is classify(f); bounds, the verdict's bounds_used,
-    gives the mode, domain_bound, eq_principle and constant_domains of
-    the search."""
+    one step.  frames yields (frame, worlds) pairs: each model of the
+    frame is tested at those worlds only.  report is classify(f); bounds,
+    the verdict's bounds_used, gives the mode, domain_bound, eq_principle
+    and constant_domains of the search."""
     if max_steps is not None and max_steps < 0:
         raise ValueError(f"step cap must be >= 0, got {max_steps}")
     limit = float("inf") if max_steps is None else max_steps
-    letter_arities, mode = letters(f), bounds["mode"]
+    mode = bounds["mode"]
     compiled = compile_formula(f, mode)
     steps = 0
-    for frame in frames:
-        for model in _models(frame, letter_arities, bounds["domain_bound"],
-                             mode, bounds["eq_principle"],
+    for frame, worlds in frames:
+        for model in _models(frame, report.letter_arities,
+                             bounds["domain_bound"], mode,
+                             bounds["eq_principle"],
                              bounds["constant_domains"], True,
                              report.has_equality):
             steps += 1
@@ -645,7 +700,7 @@ def _search(frames, f: Formula, report, bounds: dict,
                 return Verdict("bound_exhausted",
                                bounds | {"max_steps": max_steps},
                                warnings=warnings)
-            point = first_point(model, compiled, value)
+            point = first_point(model, compiled, value, worlds)
             if point is not None:
                 return Verdict(outcomes[0], bounds, model=model,
                                world=point[0], assignment=point[1],
@@ -660,8 +715,9 @@ def sat_bounded(f: Formula, cls: FrameClass, world_bound: int, domain_bound: int
     """Search for a model and point satisfying f within the bounds.
 
     The witness is the first one in the order of enumerate_frames.  Only
-    the point-generated frames of one isomorphism class each are visited
-    (see the module docstring), and in intuitionistic mode and for a
+    the point-generated frames of one isomorphism class each are visited,
+    each model tested only at the worlds that generate its frame (see the
+    module docstring), and in intuitionistic mode and for a
     formula without modalities only the first one-world frame of the
     class.  That is exact: a final intuitionistic cluster collapses onto
     one reflexive world, and a formula without modalities cannot see past
@@ -687,7 +743,8 @@ def sat_bounded(f: Formula, cls: FrameClass, world_bound: int, domain_bound: int
         frames = islice(_generated_frames(1, cls), 1)
     else:
         frames = _generated_frames(world_bound, cls)
-    return _search(frames, f, report, bounds, max_steps, True,
+    return _search(((fr, _roots(fr)) for fr in frames), f, report, bounds,
+                   max_steps, True,
                    ("satisfiable", "unsatisfiable_up_to_bound"), [])
 
 
@@ -706,7 +763,10 @@ def decide_valid_over_frame(fr: Frame, f: Formula, domain_bound: int | None = No
     within the domain bound; returns the first countermodel otherwise.
     Without a domain bound the search runs to default_domain_bound, a
     guess that can be too small, so finding no countermodel there gives
-    no_countermodel_up_to_bound, not valid."""
+    no_countermodel_up_to_bound, not valid.  The views of fr's worlds
+    that have fewer worlds are checked first; when all of them are valid
+    the models of fr are tested only at the worlds that see all of fr
+    (see the module docstring)."""
     heuristic = domain_bound is None
     if heuristic:
         domain_bound = default_domain_bound(f)
@@ -723,12 +783,22 @@ def decide_valid_over_frame(fr: Frame, f: Formula, domain_bound: int | None = No
         "does not apply"]
     outcomes = ("countermodel",
                 "no_countermodel_up_to_bound" if heuristic else "valid")
-    if mode == "modal" and report.modal_depth == 0 and len(fr.worlds) > 1:
-        verdict = _search([Frame(("w0",), frozenset())], f, report, bounds,
-                          max_steps, False, outcomes, warnings)
-        if verdict.outcome == outcomes[1]:
-            return verdict
-    return _search([fr], f, report, bounds, max_steps, False, outcomes,
+    frames = [(fr, fr.worlds)]
+    if len(fr.worlds) > 1:
+        depth = report.modal_depth if mode == "modal" else float("inf")
+        views, roots = {}, []
+        for w in fr.worlds:
+            view = _view(fr, w, depth)
+            if len(view.worlds) < len(fr.worlds):
+                views[view] = None
+            else:
+                roots.append(w)
+        if all(_search([(view, view.worlds[:1])], f, report, bounds,
+                       max_steps, False, outcomes, warnings).outcome
+               == outcomes[1]
+               for view in sorted(views, key=lambda v: len(v.worlds))):
+            frames = [(fr, roots)] if roots else []
+    return _search(frames, f, report, bounds, max_steps, False, outcomes,
                    warnings)
 
 

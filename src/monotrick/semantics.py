@@ -442,14 +442,15 @@ def valid_in_model(m: Model, f: Formula):
     return point is None, point
 
 
-def first_point(m: Model, compiled: Compiled, value: bool):
+def first_point(m: Model, compiled: Compiled, value: bool, worlds=None):
     """The first point (world, assignment) of m at which compiled
-    evaluates to value, worlds in frame order and values in product
-    order; None if there is none.  compiled must be of m's mode."""
+    evaluates to value, worlds in frame order (or in the order of worlds,
+    if given: the only worlds tested) and values in product order; None
+    if there is none.  compiled must be of m's mode."""
     holds, free = compiled.holds, compiled.free
     # Points are drawn from D(w) and bind exactly the free variables, so
     # evaluate()'s per-point checks hold by construction.
-    for w in m.frame.worlds:
+    for w in m.frame.worlds if worlds is None else worlds:
         for values in product(m.domains[w], repeat=len(free)):
             if holds(m, w, values) is value:
                 return w, dict(zip(free, values))

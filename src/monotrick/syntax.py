@@ -16,7 +16,7 @@ is a predicate letter.
 from __future__ import annotations
 
 import re
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 _VARIABLE_RE = re.compile(r"[xyzuvw][0-9]*\Z")
 
@@ -440,9 +440,14 @@ class FragmentReport:
     variable_count: int
     modal_depth: int
     max_letter_arity: int
+    # Each letter's arity, for the searches; not part of the report.
+    letter_arities: dict = field(default_factory=dict, compare=False,
+                                 repr=False)
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        out = asdict(self)
+        del out["letter_arities"]
+        return out
 
 
 def classify(f: Formula) -> FragmentReport:
@@ -494,6 +499,7 @@ def classify(f: Formula) -> FragmentReport:
         variable_count=len(variables),
         modal_depth=done[0][1],
         max_letter_arity=arity,
+        letter_arities=arities,
     )
 
 

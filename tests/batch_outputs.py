@@ -2,8 +2,9 @@
 standard error of every query in the first batch (batch 0) of each
 perfbench workload, seeds 1-3, with the experiment's ``wall_time``
 blanked, of a fixed list of edge and malformed command lines for each
-command (``EDGE_RECORD``), and of capped ``sat`` lines for formulas
-without modalities (``CAPPED_RECORD``).
+command (``EDGE_RECORD``), of capped ``sat`` lines for formulas
+without modalities (``CAPPED_RECORD``), and of uncapped ``decide`` lines
+on three-world frames at modal depths 0-3 (``VIEWS_RECORD``).
 
     PYTHONPATH=src python -m tests.batch_outputs --write DIR
     PYTHONPATH=src python -m tests.batch_outputs --check DIR
@@ -38,6 +39,7 @@ WORKLOADS = ("sat-classes", "decide-frame", "trick-faithfulness")
 SEEDS = (1, 2, 3)
 EDGE_RECORD = "edge-argv"
 CAPPED_RECORD = "capped-sat"
+VIEWS_RECORD = "views"
 WALL_TIME = re.compile(r'"wall_time": [-+0-9.eE]+|skipped; [0-9.]+s$',
                        re.MULTILINE)
 
@@ -165,28 +167,35 @@ def batch_outputs(name: str, seed: int) -> list:
                 for q in workload.batch(seed, 0)]
 
 
+def _played(kind: str, lines: list, files: dict) -> list:
+    """[kind, line, exit code, stdout, stderr] of each line, with files
+    written to a work directory first; a line names a file by its key,
+    which may be part of an argument."""
+    cli = importlib.import_module("monotrick.cli")
+    with tempfile.TemporaryDirectory() as workdir:
+        paths = {}
+        for name, content in files.items():
+            paths[name] = os.path.join(workdir, name.strip("<>"))
+            with open(paths[name], "w", encoding="utf-8") as fh:
+                fh.write(content if isinstance(content, str)
+                         else json.dumps(content))
+        out = []
+        for line in lines:
+            argv = [functools.reduce(lambda a, kv: a.replace(*kv),
+                                     paths.items(), arg) for arg in line]
+            out.append([kind, line, *(
+                _blank(x, workdir) if isinstance(x, str) else x
+                for x in _play(cli, argv))])
+        return out
+
+
 def edge_outputs() -> list:
     """["edge", argv, exit code, stdout, stderr] of each line of
     ``edge_lines()``; help is formatted for 80 columns."""
-    cli = importlib.import_module("monotrick.cli")
     columns = os.environ.get("COLUMNS")
     os.environ["COLUMNS"] = "80"
     try:
-        with tempfile.TemporaryDirectory() as workdir:
-            paths = {}
-            for name, content in FILES.items():
-                paths[name] = os.path.join(workdir, name.strip("<>"))
-                with open(paths[name], "w", encoding="utf-8") as fh:
-                    fh.write(content if isinstance(content, str)
-                             else json.dumps(content))
-            out = []
-            for line in edge_lines():
-                argv = [functools.reduce(lambda a, kv: a.replace(*kv),
-                                         paths.items(), arg) for arg in line]
-                out.append(["edge", line, *(
-                    _blank(x, workdir) if isinstance(x, str) else x
-                    for x in _play(cli, argv))])
-            return out
+        return _played("edge", edge_lines(), FILES)
     finally:
         if columns is None:
             del os.environ["COLUMNS"]
@@ -199,6 +208,57 @@ def capped_outputs() -> list:
     ``capped_lines()``."""
     cli = importlib.import_module("monotrick.cli")
     return [["capped", line, *_play(cli, line)] for line in capped_lines()]
+
+
+# Three-world frames on which worlds see different parts of the frame: the
+# chain w0 -> w1 -> w2, its reflexive and transitive closure and the cycle
+# w0 -> w1 -> w2 -> w0.
+VIEW_FRAMES = {
+    "<chain3.json>": {"worlds": ["w0", "w1", "w2"],
+                      "access": [["w0", "w1"], ["w1", "w2"]]},
+    "<preorder3.json>": {"worlds": ["w0", "w1", "w2"],
+                         "access": [["w0", "w0"], ["w0", "w1"], ["w0", "w2"],
+                                    ["w1", "w1"], ["w1", "w2"], ["w2", "w2"]]},
+    "<cycle3.json>": {"worlds": ["w0", "w1", "w2"],
+                      "access": [["w0", "w1"], ["w1", "w2"], ["w2", "w0"]]},
+}
+
+# Modal formulas of depth 0, 1, 1, 2, 2, 3 and 3 (the third is the Barcan
+# formula, valid on the cycle, whose domains are forced constant), then
+# intuitionistic ones; valid on some frames and principles, not on others.
+VIEW_FORMULAS = {
+    "modal": ("exists x Q(x) -> forall x Q(x)",
+              "x = y -> (Q(x) <-> Q(y))",
+              "forall x []Q(x) -> []forall x Q(x)",
+              "[]forall x Q(x) -> forall x []Q(x)",
+              "<><>exists x Q(x) -> <>exists x Q(x)",
+              "<>[]p -> []<>p",
+              "~(x = y) -> [][][]~(x = y)",
+              "<><><>p -> <>p"),
+    "int": ("p | ~p",
+            "~~(p | ~p)",
+            "x = y | ~(x = y)",
+            "(p -> q) | (q -> p)",
+            "forall x (Q(x) | ~Q(x)) -> (exists x Q(x) | ~exists x Q(x))"),
+}
+
+
+def view_lines() -> list:
+    """Uncapped ``decide --json --domain 2`` of each view formula under
+    eq1 and eq3: the modal ones on each view frame, the intuitionistic
+    ones on the preorder."""
+    return [["decide", "--json", "--frame", frame, "--domain", "2",
+             "--mode", mode, "--eq", eq, text]
+            for mode, frames in (("modal", VIEW_FRAMES),
+                                 ("int", ("<preorder3.json>",)))
+            for frame in frames for text in VIEW_FORMULAS[mode]
+            for eq in ("eq1", "eq3")]
+
+
+def view_outputs() -> list:
+    """["views", argv, exit code, stdout, stderr] of each line of
+    ``view_lines()``."""
+    return _played("views", view_lines(), VIEW_FRAMES)
 
 
 def main(argv=None) -> int:
@@ -215,7 +275,8 @@ def main(argv=None) -> int:
         directory.mkdir(parents=True, exist_ok=True)
     records = [(f"{name}-seed{seed}", lambda n=name, s=seed: batch_outputs(n, s))
                for name in WORKLOADS for seed in SEEDS]
-    records += [(EDGE_RECORD, edge_outputs), (CAPPED_RECORD, capped_outputs)]
+    records += [(EDGE_RECORD, edge_outputs), (CAPPED_RECORD, capped_outputs),
+                (VIEWS_RECORD, view_outputs)]
     differing = total = 0
     for stem, outputs_of in records:
         path = directory / f"{stem}.json"

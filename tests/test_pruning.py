@@ -4,7 +4,8 @@ on one world, models checked once per renaming of individuals, equality
 relations built once per domain assignment, and what a formula cannot
 observe skipped (the equality without ``=``, twin individuals without
 ``=`` and binary letters, the frame's other worlds without modalities),
-and eq2 searched as its eq3 quotient.  Each is compared with a naive
+eq2 searched as its eq3 quotient, and each model tested only at the
+worlds whose view can hold the first hit.  Each is compared with a naive
 test-side reference."""
 
 import json
@@ -383,9 +384,9 @@ def test_modality_free_valid_decide_checks_one_world(monkeypatch):
     model per non-empty set of the two letter patterns."""
     checked = []
 
-    def recording(m, compiled, value):
+    def recording(m, compiled, value, worlds=None):
         checked.append(m)
-        return first_point(m, compiled, value)
+        return first_point(m, compiled, value, worlds)
     monkeypatch.setattr(search, "first_point", recording)
     f = parse("forall x Q(x) | exists x ~Q(x)")
     two_worlds = [fr for fr in enumerate_frames(2) if len(fr.worlds) == 2]
@@ -436,9 +437,9 @@ def test_modality_free_unsatisfiable_sat_checks_one_world(monkeypatch):
     model."""
     checked = []
 
-    def recording(m, compiled, value):
+    def recording(m, compiled, value, worlds=None):
         checked.append(m)
-        return first_point(m, compiled, value)
+        return first_point(m, compiled, value, worlds)
     monkeypatch.setattr(search, "first_point", recording)
     f = parse("exists x (Q(x) & ~Q(x)) | (p & ~p)")
     for cls_text in (*CLASSES, "irreflexive_transitive",
@@ -467,9 +468,9 @@ def test_modality_free_capped_sat_counts_one_frame(monkeypatch, text):
     verdict.  An unsatisfiable formula checks every model of that frame."""
     checked = []
 
-    def recording(m, compiled, value):
+    def recording(m, compiled, value, worlds=None):
         checked.append(m)
-        return first_point(m, compiled, value)
+        return first_point(m, compiled, value, worlds)
     monkeypatch.setattr(search, "first_point", recording)
     f = parse(text)
     for cls_text in SMALL_CLASSES:
@@ -511,9 +512,9 @@ def test_modality_free_capped_decide_counts_the_frame_alone(monkeypatch):
     checked on the frame itself."""
     checked = []
 
-    def recording(m, compiled, value):
+    def recording(m, compiled, value, worlds=None):
         checked.append(m.frame)
-        return first_point(m, compiled, value)
+        return first_point(m, compiled, value, worlds)
     monkeypatch.setattr(search, "first_point", recording)
     f = parse("exists x Q(x) -> forall x Q(x)")
     uncapped = decide_valid_over_frame(CHAIN3, f, 2)
@@ -532,9 +533,9 @@ def test_modality_free_decide_on_one_world_frame_scans_it_once(monkeypatch):
     edges before it."""
     checked = []
 
-    def recording(m, compiled, value):
+    def recording(m, compiled, value, worlds=None):
         checked.append(model_to_dict(m))
-        return first_point(m, compiled, value)
+        return first_point(m, compiled, value, worlds)
     monkeypatch.setattr(search, "first_point", recording)
     f = parse("x = y -> (Q(x) <-> Q(y))")
     for fr in enumerate_frames(1):
@@ -548,6 +549,124 @@ def test_modality_free_decide_on_one_world_frame_scans_it_once(monkeypatch):
             assert checked == [
                 d | {"equality": d["equality"] | {"principle": eq_principle}}
                 for d in leaders], (sorted(fr.access), eq_principle)
+
+
+CYCLE3 = Frame(("w0", "w1", "w2"),
+               frozenset({("w0", "w1"), ("w1", "w2"), ("w2", "w0")}))
+VIEW_FRAMES = [*enumerate_frames(2), CHAIN3, PREORDER3, CYCLE3]
+BARCAN = "forall x []Q(x) -> []forall x Q(x)"
+
+# Formulas of modal depth 0, 0, 1, 1, 1, 2, 2, 3 and 3, and intuitionistic
+# ones, valid on some of the view frames and not on others; the worlds of
+# those frames see different parts of them at each depth.
+VIEW_CASES = {
+    "modal": ("exists x Q(x) -> forall x Q(x)",
+              "x = y -> (Q(x) <-> Q(y))",
+              BARCAN,
+              "[]forall x Q(x) -> forall x []Q(x)",
+              "~(x = y) -> []~(x = y)",
+              "<><>exists x Q(x) -> <>exists x Q(x)",
+              "<>[]p -> []<>p",
+              "[][][]p -> []p",
+              "<><><>p -> <>p"),
+    "int": ("p | ~p",
+            "~~(p | ~p)",
+            "x = y | ~(x = y)",
+            "(p -> q) | (q -> p)",
+            "forall x (Q(x) | ~Q(x)) -> (exists x Q(x) | ~exists x Q(x))"),
+}
+
+
+@pytest.mark.parametrize("constant", (False, True))
+@pytest.mark.parametrize("eq_principle", PRINCIPLES)
+@pytest.mark.parametrize("mode", ("modal", "int"))
+def test_decide_by_views_matches_unpruned_reference(mode, eq_principle,
+                                                    constant):
+    """decide, which checks each world's view first and then tests the
+    frame's models only at the worlds that see all of it, gives the
+    verdict of a walk over every model at every world: modal depths 0-3
+    and intuitionistic formulas, on every frame of at most two worlds, the
+    3-chain, the 3-preorder and the 3-cycle."""
+    for fr in VIEW_FRAMES:
+        if mode == "int" and not frame_matches(fr, PREORDERS):
+            continue
+        for text in VIEW_CASES[mode]:
+            f = parse(text)
+            for domain in (1, 2):
+                got = decide_valid_over_frame(fr, f, domain, mode, eq_principle,
+                                              constant).to_json()
+                assert got == reference_decide(fr, f, domain, mode,
+                                               eq_principle, constant), \
+                    (sorted(fr.access), text, domain)
+
+
+@pytest.mark.parametrize("eq_principle", ("eq1", "eq3"))
+def test_barcan_is_valid_on_the_three_cycle(eq_principle):
+    """A cycle forces equal domains, so the Barcan formula is valid on the
+    3-cycle; the view of each world at depth 1, one edge w0 -> w1, has a
+    countermodel with a larger domain at w1.  decide does not report that
+    countermodel, which need not extend to the cycle, but scans the cycle
+    itself."""
+    f = parse(BARCAN)
+    edge = Frame(("w0", "w1"), frozenset({("w0", "w1")}))
+    assert {search._view(CYCLE3, w, 1) for w in CYCLE3.worlds} == {edge}
+    assert decide_valid_over_frame(edge, f, 2, eq_principle=eq_principle) \
+        .outcome == "countermodel"
+    for domain in (2, 3):
+        assert decide_valid_over_frame(
+            CYCLE3, f, domain, eq_principle=eq_principle).outcome == "valid"
+
+
+def test_views():
+    """A world's view at depth d: the worlds within d steps, w first, the
+    others in breadth-first order, with the edges leaving the worlds
+    within d - 1 steps; unbounded, the subframe the world generates."""
+    chain = Frame(("a", "b", "c"), frozenset({("a", "b"), ("b", "c"),
+                                              ("c", "c")}))
+    edge = frozenset({("w0", "w1")})
+    assert search._view(chain, "a", 0) == EDGELESS
+    assert search._view(chain, "c", 0) == EDGELESS
+    assert search._view(chain, "c", 1) == LOOP
+    assert search._view(chain, "a", 1) == Frame(("w0", "w1"), edge)
+    assert search._view(chain, "b", 1) == Frame(("w0", "w1"), edge)
+    assert search._view(chain, "b", 2) == \
+        Frame(("w0", "w1"), edge | {("w1", "w1")})
+    assert search._view(chain, "a", 2) == \
+        Frame(("w0", "w1", "w2"), edge | {("w1", "w2")})
+    assert search._view(chain, "a", float("inf")) == \
+        Frame(("w0", "w1", "w2"), edge | {("w1", "w2"), ("w2", "w2")})
+    assert search._view(CYCLE3, "w2", 2) == \
+        Frame(("w0", "w1", "w2"), edge | {("w1", "w2")})
+    assert search._roots(chain) == ["a"]
+    assert search._roots(CYCLE3) == list(CYCLE3.worlds)
+    assert search._roots(Frame(("w0", "w1"), frozenset())) == []
+
+
+@pytest.mark.parametrize("mode", ("modal", "int"))
+def test_views_capped_decide_gives_uncapped_verdict_or_exhausts(monkeypatch,
+                                                               mode):
+    """Each view's check counts the step cap on its own.  Under every cap
+    up to the number of models checked without one, decide on the view
+    frames gives bound_exhausted or the uncapped verdict."""
+    checked = []
+
+    def recording(m, compiled, value, worlds=None):
+        checked.append(m)
+        return first_point(m, compiled, value, worlds)
+    monkeypatch.setattr(search, "first_point", recording)
+    for fr in VIEW_FRAMES:
+        if mode == "int" and not frame_matches(fr, PREORDERS):
+            continue
+        for text in VIEW_CASES[mode]:
+            f = parse(text)
+            checked.clear()
+            uncapped = decide_valid_over_frame(fr, f, 2, mode, "eq1")
+            for cap in range(len(checked) + 1):
+                capped = decide_valid_over_frame(fr, f, 2, mode, "eq1",
+                                                 max_steps=cap)
+                assert capped.outcome == "bound_exhausted" or \
+                    capped.to_json() == uncapped.to_json(), \
+                    (sorted(fr.access), text, cap)
 
 
 def test_eq2_matches_every_eq2_model_on_random_formulas():
@@ -639,16 +758,20 @@ def leader_models(fr, letter_arities, domain_bound, mode, eq_principle,
 def test_decide_checks_each_lex_leader_once(monkeypatch, mode, eq_principle,
                                             constant):
     """On a valid formula decide checks exactly the lex-leaders among the
-    models, in order, and fewer models than enumerate_models yields.  The
-    formulas have = (which observes the equality and twins), and the modal
-    one a modality (which observes the frame).  eq2 is searched as eq3,
-    with the principle relabelled, unless the domains are constant on a
-    frame that is not connected."""
+    models of the frame, in order, and fewer models than enumerate_models
+    yields.  The formulas have = (which observes the equality and twins),
+    and the modal one a modality (which observes the frame).  eq2 is
+    searched as eq3, with the principle relabelled, unless the domains are
+    constant on a frame that is not connected.  The models checked on the
+    views of the frame's worlds before it are left out, and a frame that
+    no world generates is not scanned at all: on these transitive frames
+    the worlds within one step are those reachable."""
     checked = []
 
-    def recording(m, compiled, value):
-        checked.append(model_to_dict(m))
-        return first_point(m, compiled, value)
+    def recording(m, compiled, value, worlds=None):
+        if m.frame == fr:
+            checked.append(model_to_dict(m))
+        return first_point(m, compiled, value, worlds)
     monkeypatch.setattr(search, "first_point", recording)
     f = parse("x = y -> [](Q(x) -> Q(y))" if mode == "modal"
               else "x = y -> (Q(x) -> Q(y))")
@@ -665,6 +788,8 @@ def test_decide_checks_each_lex_leader_once(monkeypatch, mode, eq_principle,
                 leaders = [d | {"equality": d["equality"] | {"principle": "eq2"}}
                            for d in leader_models(fr, letters(f), domain, mode,
                                                   "eq3", constant)[1]]
+            if not any(_reachable(fr, w) == set(fr.worlds) for w in fr.worlds):
+                leaders = []
             assert checked == leaders, (sorted(fr.access), domain)
             total += len(models)
             pruned += len(checked)
