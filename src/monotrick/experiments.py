@@ -118,18 +118,19 @@ def trick_experiment(corpus, variant: Variant, size_bound: int) -> ExperimentRep
     """Compare classical truth with companion-root truth of the translation."""
     symmetric, _ = companion(variant)
     started = time.perf_counter()
-    formulas = []  # (sentence, naming scheme, compiled translation)
+    formulas = []  # (sentence, naming scheme, compiled translation, binary)
     skipped = []
     for entry in corpus:
         f = parse(entry) if isinstance(entry, str) else entry
         try:  # the trick checks the signature, not closedness
-            if free_variables(f):
-                raise TranslationError(
-                    f"open formula; free: {sorted(free_variables(f))}")
+            free = free_variables(f)
+            if free:
+                raise TranslationError(f"open formula; free: {sorted(free)}")
             scheme = fresh_scheme(f)
             translated = kripke_trick(f, variant, scheme)
+            arities = letters(f)
             # The trick translates p, but no structure makes p true.
-            nullary = sorted(name for name, a in letters(f).items() if a == 0)
+            nullary = sorted(name for name, a in arities.items() if a == 0)
             if nullary:
                 raise TranslationError(
                     f"propositional letter {nullary[0]!r} is not interpreted "
@@ -137,14 +138,15 @@ def trick_experiment(corpus, variant: Variant, size_bound: int) -> ExperimentRep
         except TranslationError as exc:
             skipped.append({"formula": render(f), "reason": str(exc)})
             continue
-        formulas.append((f, scheme, compile_formula(translated, "modal")))
+        binary = next((name for name, a in arities.items() if a == 2), None)
+        formulas.append((f, scheme, compile_formula(translated, "modal"),
+                         binary))
 
     structure_count, classes = _classes(size_bound, symmetric)
     representatives = [_structure(n, mask) for _, n, mask, _ in classes]
     agreement = 0
     disagreements = []
-    for f, scheme, translated in formulas:
-        binary = next((name for name, a in letters(f).items() if a == 2), None)
+    for f, scheme, translated, binary in formulas:
         wrong = []
         for (idx, n, mask, orbit), s in zip(classes, representatives):
             interp = {binary: s.relation} if binary else {}

@@ -18,13 +18,13 @@ first hit as a search of every frame:
   property and ``alt_n`` passes to generated subframes, and so does
   validity on a frame.  A hit on a frame that its world does not
   generate is thus also a hit on a frame with fewer worlds, which comes
-  first.
+  first.  The worlds that generate a frame, its roots (``_roots``), come
+  from ``_ball``, the one walk that tells which worlds reach which.
 - ``sat_bounded`` in intuitionistic mode and for a formula without
   modalities: only the first one-world frame of the class (see there).
-- ``sat_bounded`` tests each model only at the worlds that generate its
-  frame (``_roots``).  A hit at another world is a hit on the subframe
-  that world generates, which has fewer worlds, is in the class (as
-  above) and comes first.
+- ``sat_bounded`` tests each model only at its frame's roots.  A hit at
+  another world is a hit on the subframe that world generates, which has
+  fewer worlds, is in the class (as above) and comes first.
 
 Both those searches and ``decide_valid_over_frame`` check models once
 per renaming of individuals:
@@ -66,16 +66,17 @@ They also skip what the formula cannot observe, per ``syntax.classify``:
   it is w without edges.  A model's restriction to a view is a model of
   the same kind (domains grow and equalities and intuitionistic
   valuations are hereditary along the edges kept, constant domains stay
-  constant) with the same truth at w.  So on a frame of more than one
-  world ``decide_valid_over_frame`` first checks, at its root w0,
-  each distinct view with fewer worlds than the frame, smallest first.
-  If all of them are valid, no countermodel on the frame fails at a world
-  with a smaller view, and the frame's models are tested only at the
-  worlds whose view has every world; if there are none, the frame is
-  not scanned.  A view's countermodel need not extend to the frame (the
-  Barcan formula is valid on a 3-cycle, which forces equal domains, but
-  not on its view w0 -> w1), so then, and when a view runs out of steps,
-  the frame is scanned at every world.
+  constant) with the same truth at w, so no model of the frame fails at
+  a world whose view is valid.  On a frame of more than one world
+  ``decide_valid_over_frame`` therefore groups the worlds by view, checks
+  each distinct view with fewer worlds than the frame at its root w0,
+  smallest first, up to the first one that is not valid, and then tests
+  the frame's models at every world whose view it did not find valid;
+  if there is none, the frame is not scanned.  The first countermodel on
+  the frame and its first point are thus kept.  A view's countermodel is
+  never reported, as it need not extend to the frame (the Barcan formula
+  is valid on a 3-cycle, which forces equal domains, but not on its view
+  w0 -> w1).
 
 Equality under eq2.  Each world's eq2 equality is a congruence, and along
 an edge w -> v a and b in D(w) are equal at w exactly when they are at v,
@@ -258,29 +259,6 @@ def _renamings(n: int) -> list:
     return out
 
 
-def _point_generated(n: int, mask: int) -> bool:
-    """Whether some world reaches every world: the frame is the subframe
-    generated by that world.  Rows are reachability bit masks, closed
-    under composition (Warshall)."""
-    full = (1 << n) - 1
-    reach = [mask >> (n * a) & full | 1 << a for a in range(n)]
-    for k in range(n):
-        for a in range(n):
-            if reach[a] >> k & 1:
-                reach[a] |= reach[k]
-    return full in reach
-
-
-def _connected(frame: Frame) -> bool:
-    """Whether every world reaches every other along edges taken in
-    either direction."""
-    seen = set(frame.worlds[:1])
-    for _ in frame.worlds:
-        seen |= {w for edge in frame.access if seen.intersection(edge)
-                 for w in edge}
-    return len(seen) == len(frame.worlds)
-
-
 def _renamed_masks(n: int, mask: int):
     """The frame's mask under each non-identity renaming of its worlds."""
     full = (1 << n) - 1
@@ -308,10 +286,14 @@ def enumerate_frames_up_to_iso(world_bound: int,
 
 
 def _generated_frames(world_bound: int, cls: FrameClass = FrameClass()):
-    """The point-generated frames of enumerate_frames_up_to_iso, in the
-    same order: the frames that can carry the first hit of a search."""
-    return _frames(world_bound, cls, lambda n, mask: _least_labelled(n, mask)
-                   and _point_generated(n, mask))
+    """(frame, roots) for each point-generated frame of
+    enumerate_frames_up_to_iso, in the same order: the frames that can
+    carry the first hit of a search, each with the worlds that generate
+    it (_roots)."""
+    for fr in enumerate_frames_up_to_iso(world_bound, cls):
+        roots = _roots(fr)
+        if roots:
+            yield fr, roots
 
 
 def _ball(fr: Frame, w: str, d: float) -> tuple:
@@ -348,6 +330,14 @@ def _roots(fr: Frame) -> list:
     that generate it."""
     return [w for w in fr.worlds if len(_ball(fr, w, float("inf"))[0])
             == len(fr.worlds)]
+
+
+def _connected(frame: Frame) -> bool:
+    """Whether every world reaches every other along edges taken in
+    either direction: whether the frame with each edge reversed too has
+    a root."""
+    return bool(_roots(Frame(frame.worlds, frame.access | {
+        (b, a) for a, b in frame.access})))
 
 
 # ---------------------------------------------------------------------------
@@ -716,8 +706,9 @@ def sat_bounded(f: Formula, cls: FrameClass, world_bound: int, domain_bound: int
 
     The witness is the first one in the order of enumerate_frames.  Only
     the point-generated frames of one isomorphism class each are visited,
-    each model tested only at the worlds that generate its frame (see the
-    module docstring), and in intuitionistic mode and for a
+    each model tested only at its frame's roots, as _generated_frames
+    pairs them (see the module docstring), and in intuitionistic mode and
+    for a
     formula without modalities only the first one-world frame of the
     class.  That is exact: a final intuitionistic cluster collapses onto
     one reflexive world, and a formula without modalities cannot see past
@@ -743,8 +734,7 @@ def sat_bounded(f: Formula, cls: FrameClass, world_bound: int, domain_bound: int
         frames = islice(_generated_frames(1, cls), 1)
     else:
         frames = _generated_frames(world_bound, cls)
-    return _search(((fr, _roots(fr)) for fr in frames), f, report, bounds,
-                   max_steps, True,
+    return _search(frames, f, report, bounds, max_steps, True,
                    ("satisfiable", "unsatisfiable_up_to_bound"), [])
 
 
@@ -764,9 +754,9 @@ def decide_valid_over_frame(fr: Frame, f: Formula, domain_bound: int | None = No
     Without a domain bound the search runs to default_domain_bound, a
     guess that can be too small, so finding no countermodel there gives
     no_countermodel_up_to_bound, not valid.  The views of fr's worlds
-    that have fewer worlds are checked first; when all of them are valid
-    the models of fr are tested only at the worlds that see all of fr
-    (see the module docstring)."""
+    that have fewer worlds are checked first, up to the first that is not
+    valid; the models of fr are then tested at each world whose view was
+    not found valid (see the module docstring)."""
     heuristic = domain_bound is None
     if heuristic:
         domain_bound = default_domain_bound(f)
@@ -783,23 +773,24 @@ def decide_valid_over_frame(fr: Frame, f: Formula, domain_bound: int | None = No
         "does not apply"]
     outcomes = ("countermodel",
                 "no_countermodel_up_to_bound" if heuristic else "valid")
-    frames = [(fr, fr.worlds)]
+    worlds = fr.worlds
     if len(fr.worlds) > 1:
         depth = report.modal_depth if mode == "modal" else float("inf")
-        views, roots = {}, []
+        views = {}
         for w in fr.worlds:
             view = _view(fr, w, depth)
             if len(view.worlds) < len(fr.worlds):
-                views[view] = None
-            else:
-                roots.append(w)
-        if all(_search([(view, view.worlds[:1])], f, report, bounds,
-                       max_steps, False, outcomes, warnings).outcome
-               == outcomes[1]
-               for view in sorted(views, key=lambda v: len(v.worlds))):
-            frames = [(fr, roots)] if roots else []
-    return _search(frames, f, report, bounds, max_steps, False, outcomes,
-                   warnings)
+                views.setdefault(view, []).append(w)
+        valid = set()
+        for view in sorted(views, key=lambda v: len(v.worlds)):
+            if _search([(view, view.worlds[:1])], f, report, bounds,
+                       max_steps, False, outcomes, warnings).outcome \
+                    != outcomes[1]:
+                break
+            valid.update(views[view])
+        worlds = [w for w in fr.worlds if w not in valid]
+    return _search([(fr, worlds)] if worlds else [], f, report, bounds,
+                   max_steps, False, outcomes, warnings)
 
 
 # ---------------------------------------------------------------------------
@@ -879,7 +870,7 @@ def eq_separation_search(world_bound: int = 3, domain_bound: int = 2,
     generates, so the first separating frame is point-generated.
     """
     parsed = [(mode, parse(text)) for mode, text in _SEPARATION_CANDIDATES]
-    for fr in _generated_frames(world_bound):
+    for fr, _ in _generated_frames(world_bound):
         preorder = frame_matches(fr, PREORDER)
         for mode, f in parsed:
             if mode == "int" and not preorder:

@@ -108,16 +108,16 @@ def positivize(f: Formula, fresh: str) -> Formula:
     return go(f)
 
 
-def _check_trick_input(f: Formula, report: FragmentReport,
+def _check_trick_input(report: FragmentReport,
                        names: NamingScheme) -> str | None:
-    """Validate the admissible signature of f, whose classify() report is
-    given; returns the binary letter, if any."""
+    """Validate the admissible signature of a formula from its classify()
+    report; returns the binary letter, if any."""
     if report.modal_depth > 0:
         raise TranslationError("input to the trick must contain no modality")
     if report.has_equality:
         raise TranslationError("input to the trick must contain no equality atoms")
     binary = None
-    for letter, arity in letters(f).items():
+    for letter, arity in report.letter_arities.items():
         if arity >= 3:
             raise TranslationError(f"letter {letter!r} has arity {arity} > 2")
         if arity == 2:
@@ -142,7 +142,7 @@ def kripke_trick(f: Formula, variant: Variant,
     if names is None:
         names = fresh_scheme(f)
     report = classify(f)
-    _check_trick_input(f, report, names)
+    _check_trick_input(report, names)
     if variant in (Variant.POSITIVE_IMP, Variant.NEG_DISJ) and not report.is_positive:
         warnings.warn("positive-fragment variants expect a positive input; "
                       "apply positivize first", stacklevel=2)

@@ -3,8 +3,10 @@ standard error of every query in the first batch (batch 0) of each
 perfbench workload, seeds 1-3, with the experiment's ``wall_time``
 blanked, of a fixed list of edge and malformed command lines for each
 command (``EDGE_RECORD``), of capped ``sat`` lines for formulas
-without modalities (``CAPPED_RECORD``), and of uncapped ``decide`` lines
-on three-world frames at modal depths 0-3 (``VIEWS_RECORD``).
+without modalities (``CAPPED_RECORD``), of uncapped ``decide`` lines
+on three-world frames at modal depths 0-3 (``VIEWS_RECORD``), and of
+capped and uncapped ``decide`` lines with ``=`` on frames that no world
+generates or that are not connected (``FRAMES_RECORD``).
 
     PYTHONPATH=src python -m tests.batch_outputs --write DIR
     PYTHONPATH=src python -m tests.batch_outputs --check DIR
@@ -40,6 +42,7 @@ SEEDS = (1, 2, 3)
 EDGE_RECORD = "edge-argv"
 CAPPED_RECORD = "capped-sat"
 VIEWS_RECORD = "views"
+FRAMES_RECORD = "frames"
 WALL_TIME = re.compile(r'"wall_time": [-+0-9.eE]+|skipped; [0-9.]+s$',
                        re.MULTILINE)
 
@@ -261,6 +264,44 @@ def view_outputs() -> list:
     return _played("views", view_lines(), VIEW_FRAMES)
 
 
+# Frames that no world generates, with worlds named out of the search's
+# order: two isolated worlds, an edge next to an isolated world (neither
+# connected), and the chain c -> b -> a.
+SPARSE_FRAMES = {
+    "<isolated2.json>": {"worlds": ["a", "b"], "access": []},
+    "<edge-isolated.json>": {"worlds": ["a", "b", "c"],
+                             "access": [["a", "b"]]},
+    "<chain-reversed.json>": {"worlds": ["a", "b", "c"],
+                              "access": [["c", "b"], ["b", "a"]]},
+}
+
+# Formulas with = of modal depth 0, 0, 1 and 2; the first is the one whose
+# eq2 countermodel with constant domains on a frame that is not connected
+# merges individuals.
+SPARSE_FORMULAS = ("x = y | ~q",
+                   "x = y -> (Q(x) <-> Q(y))",
+                   "~(x = y) -> []~(x = y)",
+                   "x = y -> [][](x = y)")
+
+
+def frame_lines() -> list:
+    """``decide --json --domain 2`` of each sparse formula on each sparse
+    frame, with expanding and constant domains, under each principle,
+    uncapped and at ``--max-steps 3``."""
+    return [["decide", "--json", "--frame", frame, "--domain", "2",
+             *constant, "--eq", eq, *cap, text]
+            for frame in SPARSE_FRAMES for text in SPARSE_FORMULAS
+            for constant in ([], ["--constant"])
+            for eq in ("eq1", "eq2", "eq3")
+            for cap in ([], ["--max-steps", "3"])]
+
+
+def frame_outputs() -> list:
+    """["frames", argv, exit code, stdout, stderr] of each line of
+    ``frame_lines()``."""
+    return _played("frames", frame_lines(), SPARSE_FRAMES)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m tests.batch_outputs", description=__doc__.split("\n")[0])
@@ -276,7 +317,7 @@ def main(argv=None) -> int:
     records = [(f"{name}-seed{seed}", lambda n=name, s=seed: batch_outputs(n, s))
                for name in WORKLOADS for seed in SEEDS]
     records += [(EDGE_RECORD, edge_outputs), (CAPPED_RECORD, capped_outputs),
-                (VIEWS_RECORD, view_outputs)]
+                (VIEWS_RECORD, view_outputs), (FRAMES_RECORD, frame_outputs)]
     differing = total = 0
     for stem, outputs_of in records:
         path = directory / f"{stem}.json"

@@ -87,27 +87,36 @@ def test_sat_matches_unpruned_reference(mode, text, domain, eq_principle):
             cls_text
 
 
+def _every_world(frames):
+    """A _generated_frames that yields each of frames with all its worlds."""
+    return lambda world_bound, cls=FrameClass(): (
+        (fr, fr.worlds) for fr in frames(world_bound, cls))
+
+
 def test_separation_matches_unpruned_search(monkeypatch):
     pruned = eq_separation_search(3, 2).to_dict()
     monkeypatch.setattr(search, "_generated_frames",
-                        enumerate_frames_up_to_iso)
+                        _every_world(enumerate_frames_up_to_iso))
     assert json.dumps(pruned, sort_keys=True) == \
         json.dumps(eq_separation_search(3, 2).to_dict(), sort_keys=True)
 
 
 def test_separation_matches_search_of_every_frame(monkeypatch):
     pruned = eq_separation_search(3, 2).to_dict()
-    monkeypatch.setattr(search, "_generated_frames", enumerate_frames)
+    monkeypatch.setattr(search, "_generated_frames",
+                        _every_world(enumerate_frames))
     assert json.dumps(pruned, sort_keys=True) == \
         json.dumps(eq_separation_search(3, 2).to_dict(), sort_keys=True)
 
 
 def test_generated_frames_counts():
-    per_size = Counter(len(fr.worlds) for fr in search._generated_frames(3))
+    per_size = Counter(len(fr.worlds) for fr, _ in search._generated_frames(3))
     assert per_size == {1: 2, 2: 7, 3: 80}
     per_size = Counter(len(fr.worlds)
-                       for fr in search._generated_frames(3, PREORDERS))
+                       for fr, _ in search._generated_frames(3, PREORDERS))
     assert per_size == {1: 1, 2: 2, 3: 5}
+    # Point-generated digraphs with loops on 4 nodes, up to isomorphism.
+    assert sum(1 for _ in search._generated_frames(4)) == 2727
 
 
 def _mask(fr, rename):
@@ -133,16 +142,37 @@ def _connected(fr):
     return _reachable(both_ways, fr.worlds[0]) == set(fr.worlds)
 
 
+def _brute_generated_frames(world_bound, cls=FrameClass()):
+    """(frame, roots) of each frame of enumerate_frames that is least
+    labelled (no renaming of the worlds lowers the mask) and has roots,
+    the worlds that reach every world."""
+    out = []
+    for fr in enumerate_frames(world_bound, cls):
+        roots = [w for w in fr.worlds if _reachable(fr, w) == set(fr.worlds)]
+        if roots and all(_mask(fr, range(len(fr.worlds))) <= _mask(fr, p)
+                         for p in permutations(range(len(fr.worlds)))):
+            out.append((fr, roots))
+    return out
+
+
 def test_generated_frames_match_brute_force():
-    """Least labelled (no renaming of the worlds lowers the mask) and
-    generated by one of its worlds, in the order of enumerate_frames."""
-    want = [
-        fr for fr in enumerate_frames(3)
-        if all(_mask(fr, range(len(fr.worlds))) <= _mask(fr, p)
-               for p in permutations(range(len(fr.worlds))))
-        and any(_reachable(fr, w) == set(fr.worlds) for w in fr.worlds)
-    ]
-    assert list(search._generated_frames(3)) == want
+    """Least labelled and generated by one of its worlds, in the order of
+    enumerate_frames, each with the worlds that generate it."""
+    assert list(search._generated_frames(3)) == _brute_generated_frames(3)
+
+
+@pytest.mark.parametrize("cls_text", (*PROPERTY_NAMES, "alt_1", "alt_2"))
+def test_generated_frames_of_each_class_match_brute_force(cls_text):
+    cls = parse_frame_class(cls_text)
+    assert list(search._generated_frames(3, cls)) == \
+        _brute_generated_frames(3, cls)
+
+
+def test_connected_matches_brute_force():
+    frames = list(enumerate_frames(3))
+    assert [search._connected(fr) for fr in frames] == \
+        [_connected(fr) for fr in frames]
+    assert not all(map(search._connected, frames))
 
 
 @pytest.mark.parametrize("eq", PRINCIPLES)
@@ -583,8 +613,8 @@ VIEW_CASES = {
 def test_decide_by_views_matches_unpruned_reference(mode, eq_principle,
                                                     constant):
     """decide, which checks each world's view first and then tests the
-    frame's models only at the worlds that see all of it, gives the
-    verdict of a walk over every model at every world: modal depths 0-3
+    frame's models only at the worlds whose view it did not find valid,
+    gives the verdict of a walk over every model at every world: modal depths 0-3
     and intuitionistic formulas, on every frame of at most two worlds, the
     3-chain, the 3-preorder and the 3-cycle."""
     for fr in VIEW_FRAMES:
@@ -615,6 +645,34 @@ def test_barcan_is_valid_on_the_three_cycle(eq_principle):
     for domain in (2, 3):
         assert decide_valid_over_frame(
             CYCLE3, f, domain, eq_principle=eq_principle).outcome == "valid"
+
+
+def test_decide_tests_each_world_unless_its_view_is_valid(monkeypatch):
+    """Under eq1 ~(x = y) -> []~(x = y) is valid on the view of w2 in the
+    3-chain (one world, no edges) and not on the one edge that w0 and w1
+    both see, so the chain's models are tested at w0 and w1 only: 6 and 9
+    models on the views, 9 on the chain, and the countermodel of a walk
+    over every model.  On the 3-cycle the Barcan formula's only view has
+    a countermodel, so every world of the cycle is tested."""
+    tested = []
+
+    def recording(m, compiled, value, worlds=None):
+        tested.append((m.frame, tuple(worlds)))
+        return first_point(m, compiled, value, worlds)
+    monkeypatch.setattr(search, "first_point", recording)
+    f = parse("~(x = y) -> []~(x = y)")
+    verdict = decide_valid_over_frame(CHAIN3, f, 3, eq_principle="eq1")
+    assert verdict.to_json() == reference_decide(CHAIN3, f, 3, "modal",
+                                                 "eq1", False)
+    assert (verdict.outcome, verdict.world) == ("countermodel", "w1")
+    assert len(tested) == 24
+    assert Counter(worlds for fr, worlds in tested if fr == CHAIN3) == \
+        {("w0", "w1"): 9}
+    tested.clear()
+    verdict = decide_valid_over_frame(CYCLE3, parse(BARCAN), 2)
+    assert verdict.outcome == "valid"
+    assert {worlds for fr, worlds in tested if fr == CYCLE3} == \
+        {CYCLE3.worlds}
 
 
 def test_views():
