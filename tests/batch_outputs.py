@@ -6,7 +6,9 @@ command (``EDGE_RECORD``), of capped ``sat`` lines for formulas
 without modalities (``CAPPED_RECORD``), of uncapped ``decide`` lines
 on three-world frames at modal depths 0-3 (``VIEWS_RECORD``), and of
 capped and uncapped ``decide`` lines with ``=`` on frames that no world
-generates or that are not connected (``FRAMES_RECORD``).
+generates or that are not connected (``FRAMES_RECORD``), and of
+``parse`` and ``classify`` lines that read their formula from a file
+(``FORMULAS_RECORD``).
 
     PYTHONPATH=src python -m tests.batch_outputs --write DIR
     PYTHONPATH=src python -m tests.batch_outputs --check DIR
@@ -43,6 +45,7 @@ EDGE_RECORD = "edge-argv"
 CAPPED_RECORD = "capped-sat"
 VIEWS_RECORD = "views"
 FRAMES_RECORD = "frames"
+FORMULAS_RECORD = "formulas"
 WALL_TIME = re.compile(r'"wall_time": [-+0-9.eE]+|skipped; [0-9.]+s$',
                        re.MULTILINE)
 
@@ -302,6 +305,39 @@ def frame_outputs() -> list:
     return _played("frames", frame_lines(), SPARSE_FRAMES)
 
 
+# Formula files with CRLF, CR, tabs, comments and Unicode spaces, then
+# malformed ones whose error is on line 2 or later.  ``@FILE`` is read in
+# text mode, so CR and CRLF reach the parser as LF; U+2028, VT and FF do
+# not, and end a line there.
+FORMULA_FILES = {
+    "<crlf.txt>": "exists x (Q(x) &\r\n  <>Q(x))\r\n",
+    "<cr.txt>": "p ->\r[]p\r",
+    "<tabs.txt>": "\tforall x\t(Q(x) |\t~Q(x))\n",
+    "<comments.txt>": "# header\n<>p  # diamond\n# middle\n-> p # end\n",
+    "<unicode-spaces.txt>": "p\xa0&\u3000q\u2028| r\n",
+    "<vt-ff-nel.txt>": "p\x0b&\x0cq\x85-> p\n",
+    "<crlf-error.txt>": "p &\r\n& q\r\n",
+    "<cr-error.txt>": "p\r$\r",
+    "<comment-error.txt>": "# first\np & # second\n)\n",
+    "<tab-error.txt>": "p &\n\t\t$\n",
+    "<unicode-error.txt>": "p\u3000&\nq\u2028\xe9\n",
+    "<end-error.txt>": "p &\n\n# nothing more\n\n",
+    "<arity-error.txt>": "P(x) &\r\nP(x,y)\r\n",
+}
+
+
+def formula_lines() -> list:
+    """``parse --json`` and ``classify --json`` of each formula file."""
+    return [[command, "--json", f"@{name}"]
+            for name in FORMULA_FILES for command in ("parse", "classify")]
+
+
+def formula_outputs() -> list:
+    """["formulas", argv, exit code, stdout, stderr] of each line of
+    ``formula_lines()``."""
+    return _played("formulas", formula_lines(), FORMULA_FILES)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m tests.batch_outputs", description=__doc__.split("\n")[0])
@@ -317,7 +353,8 @@ def main(argv=None) -> int:
     records = [(f"{name}-seed{seed}", lambda n=name, s=seed: batch_outputs(n, s))
                for name in WORKLOADS for seed in SEEDS]
     records += [(EDGE_RECORD, edge_outputs), (CAPPED_RECORD, capped_outputs),
-                (VIEWS_RECORD, view_outputs), (FRAMES_RECORD, frame_outputs)]
+                (VIEWS_RECORD, view_outputs), (FRAMES_RECORD, frame_outputs),
+                (FORMULAS_RECORD, formula_outputs)]
     differing = total = 0
     for stem, outputs_of in records:
         path = directory / f"{stem}.json"

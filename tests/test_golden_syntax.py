@@ -4,8 +4,11 @@ the syntax layer.
 
 Inputs: every sentence of the three test corpora, formulas near the
 nesting limit, 500 seeded random formulas (``tests.test_syntax.
-random_formula``) and malformed texts, whose ``ParseError`` text is
-recorded.  A parse/render round trip cannot catch a precedence or
+random_formula``), malformed texts, whose ``ParseError`` text is
+recorded, and texts that pin how the scanner treats white space, line
+ends and comments: fixed ones, 100 seeded random texts over an alphabet
+of tokens, white space and stray characters, and 100 seeded random
+formulas printed with random white space for each space.  A parse/render round trip cannot catch a precedence or
 associativity table that the parser and the printer share and both get
 wrong; these recorded outputs can.
 
@@ -30,6 +33,8 @@ GOLDEN_SYNTAX_PATH = DATA / "golden_syntax.json"
 CORPORA = ("classical_corpus.txt", "graph_corpus.txt", "monadic_corpus.txt")
 RANDOM_SEED = 2025
 RANDOM_COUNT = 500
+SCANNER_SEED = 2026
+SCANNER_COUNT = 100
 
 DEEP = {
     "not": "~" * (MAX_DEPTH - 1) + "P(x,y)",
@@ -87,6 +92,56 @@ MALFORMED = {
         "(" * (MAX_DEPTH - 1) + "p -> q -> r" + ")" * (MAX_DEPTH - 1),
 }
 
+# White space, line ends and comments between tokens, in well-formed and
+# malformed texts; str.splitlines ends a line at VT, FF, NEL and U+2028.
+SPACING = {
+    "crlf": "p &\r\nq\r\n",
+    "crlf-error": "p &\r\n& q",
+    "cr": "p ->\r[]p\r",
+    "cr-error": "p\r$",
+    "vt-ff": "p\x0b&\x0cq",
+    "vt-ff-error": "p &\x0b\x0c)",
+    "nel-u2028": "p\x85&\u2028q",
+    "nel-u2028-error": "p\x85&\u2028q $",
+    "nbsp-ideographic": "p\xa0&\u3000q",
+    "nbsp-ideographic-error": "p\xa0&\u3000$",
+    "tab-error": "p &\t\t$",
+    "trailing-spaces": "p & q   ",
+    "trailing-spaces-after-and": "p &   ",
+    "comment-then-error": "p & # note\n$ q",
+    "comment-middle-line": "p &\n# only a comment\nq",
+    "comment-middle-line-end": "p &\n  # only a comment\n",
+}
+
+# The alphabet of the random scanner texts: tokens, white space (line
+# ends included) and characters that start no token.
+SCANNER_TOKENS = ("p", "q", "P", "x", "y", "(", ")", ",", "=", "&", "|",
+                  "->", "<->", "~", "[]", "<>", "forall", "exists", "true",
+                  "false")
+SCANNER_SPACES = (" ", "  ", "\t", "\r", "\n", "\r\n", "\x0b", "\x0c",
+                  "\x1c", "\x85", "\xa0", "\u2028", "\u3000")
+SCANNER_STRAYS = ("#", "$", "1", "\xe9", "-", "<", "[", "]")
+
+
+def scanner_text(rng):
+    """A random text of 1-12 pieces: six in ten tokens, three in ten
+    white space, one in ten a stray character."""
+    pieces = []
+    for _ in range(rng.randint(1, 12)):
+        roll = rng.random()
+        alphabet = (SCANNER_TOKENS if roll < 0.6 else
+                    SCANNER_SPACES if roll < 0.9 else SCANNER_STRAYS)
+        pieces.append(rng.choice(alphabet))
+    return "".join(pieces)
+
+
+def spaced_formula(rng):
+    """A printed random formula with each space replaced by random white
+    space."""
+    text = render(random_formula(rng, depth=3, vars_in_scope=["x", "y"]))
+    return "".join(rng.choice(SCANNER_SPACES) if c == " " else c
+                   for c in text)
+
 
 def _outputs(f):
     return {
@@ -121,6 +176,15 @@ def _cases():
             random_formula(rng, depth=5, vars_in_scope=["x", "y"])))
     for name, text in MALFORMED.items():
         out[f"malformed:{name}"] = (None, _parsed(text))
+    for name, text in SPACING.items():
+        out[f"spacing:{name}"] = (text, _parsed(text))
+    rng = random.Random(SCANNER_SEED)
+    for i in range(SCANNER_COUNT):
+        text = scanner_text(rng)
+        out[f"scanner:{i}"] = (text, _parsed(text))
+    for i in range(SCANNER_COUNT):
+        text = spaced_formula(rng)
+        out[f"spaced:{i}"] = (text, _parsed(text))
     return out
 
 
