@@ -330,18 +330,14 @@ _COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The command-line parser.  Given a command name, only that
-    command's subparser is built: one call parses one command line, and
-    building all of them costs more than the parse."""
+def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser."""
     parser = _ArgumentParser(
         prog="monotrick",
         description="Kripke-trick translations, Kripke semantics with "
                     "equality principles, and bounded finite-model search.")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, arguments) in _COMMANDS.items():
-        if command not in (None, name):
-            continue
         p = sub.add_parser(name, help=help_text)
         for flags, kwargs in (_JSON, *arguments):
             p.add_argument(*flags, **kwargs)
@@ -399,12 +395,10 @@ def _read_args(command: str, tokens: list) -> argparse.Namespace | None:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # Anything but a known command first (help, a typo, nothing) gets the
-    # whole parser, which lists every command.
-    command = argv[0] if argv and argv[0] in _COMMANDS else None
-    args = _read_args(command, argv[1:]) if command else None
+    command = argv[0] if argv else None
+    args = _read_args(command, argv[1:]) if command in _COMMANDS else None
     if args is None:
-        args = build_parser(command).parse_args(argv)
+        args = build_parser().parse_args(argv)
     # Looked up per call, so that the command functions can be replaced.
     func = globals()["_cmd_" + args.command.replace("-", "_")]
     try:

@@ -46,18 +46,24 @@ def _edges(n: int) -> tuple:
                  for a, b in combinations(range(n), 2))
 
 
-def _bit_count(n: int, symmetric: bool) -> int:
-    return n * (n - 1) // 2 if symmetric else n * n
-
-
-def _relation_mask(n: int, bits: int, symmetric: bool) -> int:
-    if not symmetric:
-        return bits
-    return sum(edge for i, edge in enumerate(_edges(n)) if bits >> i & 1)
+def _masks(max_size: int, symmetric: bool):
+    """(n, relation mask) of each structure of enumerate_structures(max_size,
+    symmetric), in its order."""
+    if max_size < 1:
+        raise ValueError("max_size must be >= 1")
+    for n in range(1, max_size + 1):
+        if symmetric:
+            edges = _edges(n)
+            for bits in range(1 << len(edges)):
+                yield n, sum(edge for i, edge in enumerate(edges)
+                             if bits >> i & 1)
+        else:
+            yield from ((n, mask) for mask in range(1 << n * n))
 
 
 def _bits(n: int, mask: int, symmetric: bool) -> int:
-    """Inverse of _relation_mask."""
+    """The number within its size of the structure on n individuals with
+    this relation mask."""
     if not symmetric:
         return mask
     return sum(1 << i for i, edge in enumerate(_edges(n)) if mask & edge)
@@ -74,11 +80,8 @@ def enumerate_structures(max_size: int, symmetric_irreflexive: bool = False):
     With symmetric_irreflexive, only undirected loop-free relations
     (each unordered edge stored in both directions).
     """
-    if max_size < 1:
-        raise ValueError("max_size must be >= 1")
-    for n in range(1, max_size + 1):
-        for bits in range(1 << _bit_count(n, symmetric_irreflexive)):
-            yield _structure(n, _relation_mask(n, bits, symmetric_irreflexive))
+    for n, mask in _masks(max_size, symmetric_irreflexive):
+        yield _structure(n, mask)
 
 
 @cache
@@ -87,17 +90,12 @@ def _classes(max_size: int, symmetric: bool) -> tuple:
     (structure count, classes).  A class is (structure_index, n, relation
     mask) of its least-labelled member and the orbit size, the number of
     its members; the classes come in the order of those members."""
-    if max_size < 1:
-        raise ValueError("max_size must be >= 1")
-    count, classes = 0, []
-    for n in range(1, max_size + 1):
-        for bits in range(1 << _bit_count(n, symmetric)):
-            mask = _relation_mask(n, bits, symmetric)
-            if _least_labelled(n, mask):
-                classes.append((count + bits, n, mask,
-                                len({mask, *_renamed_masks(n, mask)})))
-        count += 1 << _bit_count(n, symmetric)
-    return count, tuple(classes)
+    classes = []
+    for index, (n, mask) in enumerate(_masks(max_size, symmetric)):
+        if _least_labelled(n, mask):
+            classes.append((index, n, mask,
+                            len({mask, *_renamed_masks(n, mask)})))
+    return index + 1, tuple(classes)
 
 
 @dataclass

@@ -305,7 +305,7 @@ def _ball(fr: Frame, w: str, d: float) -> tuple:
         d -= 1
         reached = []
         for u in frontier:
-            for v in fr.successors(u):
+            for v in fr.succ[u]:
                 edges.append((u, v))
                 if v not in seen:
                     seen[v] = None

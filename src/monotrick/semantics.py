@@ -58,9 +58,6 @@ class Frame:
             w: tuple(v for v in self.worlds if (w, v) in self.access)
             for w in self.worlds})
 
-    def successors(self, w: str) -> tuple[str, ...]:
-        return self.succ.get(w, ())
-
 
 @dataclass(frozen=True)
 class Equality:

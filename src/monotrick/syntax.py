@@ -146,30 +146,28 @@ class ArityConflictError(ParseError):
     pass
 
 
-@dataclass(frozen=True)
-class _Token:
-    value: str
-    line: int
-    col: int
+# Optional white space, then a token (group 1) or a character that
+# starts none (group 2).  In a str pattern \s is exactly str.isspace;
+# the scan runs on lines without trailing white space, which \s* would
+# otherwise try again from each of its characters.
+_TOKEN_RE = re.compile(
+    r"\s*(?:(<->|->|\[\]|<>|[~&|(),=]|[A-Za-z_][A-Za-z0-9_]*)|(\S))")
 
 
-_TOKEN_RE = re.compile(r"<->|->|\[\]|<>|[~&|(),=]|[A-Za-z_][A-Za-z0-9_]*")
-
-
-def _tokenize(text: str) -> list[_Token]:
+def _tokenize(text: str) -> list[tuple]:
+    """The tokens of text as (token, line, column), ending with the end
+    of input (None, line, column) just after the last token, or at (1, 1)
+    when there is none."""
     tokens = []
-    for lineno, line in enumerate(text.splitlines() or [""], start=1):
-        line = line.split("#", 1)[0]
-        pos = 0
-        while pos < len(line):
-            if line[pos].isspace():
-                pos += 1
-                continue
-            m = _TOKEN_RE.match(line, pos)
-            if m is None:
-                raise ParseError(f"unexpected character {line[pos]!r}", lineno, pos + 1)
-            tokens.append(_Token(m.group(), lineno, pos + 1))
-            pos = m.end()
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        for m in _TOKEN_RE.finditer(line.split("#", 1)[0].rstrip()):
+            tok, stray = m.groups()
+            if stray is not None:
+                raise ParseError(f"unexpected character {stray!r}", lineno,
+                                 m.start(2) + 1)
+            tokens.append((tok, lineno, m.start(1) + 1))
+    tok, line, col = tokens[-1] if tokens else ("", 1, 1)
+    tokens.append((None, line, col + len(tok)))
     return tokens
 
 
@@ -178,28 +176,22 @@ def _too_deep(line=None, col=None) -> ParseError:
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
+    def __init__(self, tokens: list[tuple]):
         self.tokens = tokens
         self.pos = 0
         self.arities: dict[str, int] = {}
         self.depth = 0
 
     def _peek(self):
-        return self.tokens[self.pos].value if self.pos < len(self.tokens) else None
+        return self.tokens[self.pos][0]
 
     def _loc(self):
-        if self.pos < len(self.tokens):
-            tok = self.tokens[self.pos]
-            return tok.line, tok.col
-        if self.tokens:
-            tok = self.tokens[-1]
-            return tok.line, tok.col + len(tok.value)
-        return 1, 1
+        return self.tokens[self.pos][1:]
 
     def _advance(self):
-        tok = self.tokens[self.pos]
+        tok = self.tokens[self.pos][0]
         self.pos += 1
-        return tok.value
+        return tok
 
     def _unexpected(self, expected: str) -> ParseError:
         """The error for the current token, or the end of input, where

@@ -117,7 +117,7 @@ def _argparse(argv):
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()):
         try:
-            return vars(cli.build_parser(argv[0]).parse_args(argv))
+            return vars(cli.build_parser().parse_args(argv))
         except SystemExit:
             return None
 

@@ -8,9 +8,10 @@ random_formula``), malformed texts, whose ``ParseError`` text is
 recorded, and texts that pin how the scanner treats white space, line
 ends and comments: fixed ones, 100 seeded random texts over an alphabet
 of tokens, white space and stray characters, and 100 seeded random
-formulas printed with random white space for each space.  A parse/render round trip cannot catch a precedence or
-associativity table that the parser and the printer share and both get
-wrong; these recorded outputs can.
+formulas printed with random white space for each space.  A
+parse/render round trip cannot catch a precedence or associativity
+table that the parser and the printer share and both get wrong; these
+recorded outputs can.
 
 The file ``tests/data/golden_syntax.json`` was recorded from a trusted
 revision with ``PYTHONPATH=src python -m tests.test_golden_syntax --write``.

@@ -129,7 +129,7 @@ def _mask(fr, rename):
 def _reachable(fr, w):
     seen, todo = {w}, [w]
     while todo:
-        for v in fr.successors(todo.pop()):
+        for v in fr.succ[todo.pop()]:
             if v not in seen:
                 seen.add(v)
                 todo.append(v)

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -52,6 +53,13 @@ class TestParse:
 
     def test_comments_and_whitespace(self):
         assert parse("p &  # trailing comment\n q") == And(Atom("p"), Atom("q"))
+
+    def test_trailing_white_space_scans_in_linear_time(self):
+        # A scan that tried \s* again from each trailing space would take
+        # seconds here, against well under a millisecond.
+        started = time.perf_counter()
+        assert parse("p" + " " * 10_000 + "\n" + "\t" * 10_000) == Atom("p")
+        assert time.perf_counter() - started < 1.0
 
     def test_syntax_error_has_position(self):
         with pytest.raises(ParseError) as info:
