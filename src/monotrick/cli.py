@@ -61,10 +61,19 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"error: {message}\n")
 
 
+def _read_text(what: str, path: str) -> str:
+    """The text of the file path, given as what, naming both if it is not
+    UTF-8."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{what} {path}: not a UTF-8 file: {exc}") from None
+
+
 def _read_formula(arg: str) -> syntax.Formula:
     if arg.startswith("@"):
-        with open(arg[1:], encoding="utf-8") as fh:
-            arg = fh.read()
+        arg = _read_text("formula file", arg[1:])
     return parse(arg)
 
 
@@ -79,15 +88,15 @@ def _load(load, option: str, path: str):
 def _read_corpus(path: str) -> list[syntax.Formula]:
     """The sentences of a corpus file, one a line."""
     corpus = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.split("#", 1)[0].strip():
-                continue
-            try:
-                corpus.append(parse(line))
-            except ParseError as exc:
-                raise ParseError(f"{path}: {exc.message}", lineno, exc.col,
-                                 exc.expected) from None
+    lines = _read_text("corpus file", path).split("\n")
+    for lineno, line in enumerate(lines, start=1):
+        if not line.split("#", 1)[0].strip():
+            continue
+        try:
+            corpus.append(parse(line))
+        except ParseError as exc:
+            raise ParseError(f"{path}: {exc.message}", lineno, exc.col,
+                             exc.expected) from None
     return corpus
 
 

@@ -99,6 +99,14 @@ keeps every eq2 equality.  (With constant domains on a connected frame
 eq2 equalities agree at every world, and so do the quotient's sizes.)
 ``enumerate_models`` yields every eq2 equality.
 
+``_models`` keeps one live model per domain assignment: for each
+candidate it rewrites in place only the letters whose extension changed
+and the equality, and yields the same ``Model`` again, valid until the
+generator is resumed.  A witness is a copy (``_copy``) with valuation
+dicts of its own, and ``enumerate_models`` yields such a copy for each
+model, so its models stay independent; they share domains, extensions
+and ``Equality`` objects.
+
 ``sat_bounded`` and ``decide_valid_over_frame`` run one scan,
 ``_search``: one loop that counts each model of ``_models`` on the frames
 given as one step, tests it with ``first_point`` and builds the verdict.
@@ -555,7 +563,12 @@ def _models(frame: Frame, letter_arities: dict, domain_bound: int, mode: str,
     ``=`` (not sees_equality) keep one equality per valuation and, if the
     letters are at most unary, skip valuations with twin individuals; and
     give eq2 the identity equality only, unless the domains are constant
-    on a frame that is not connected (see the module docstring)."""
+    on a frame that is not connected (see the module docstring).
+
+    Each domain assignment has one live model, yielded again for each of
+    its models with its valuation and equality updated in place: a model
+    from _models is valid until the generator is resumed.  _copy keeps
+    one."""
     worlds = frame.worlds
     one_equality = leaders_only and not sees_equality
     no_twins = one_equality and max(letter_arities.values(), default=0) <= 1
@@ -581,6 +594,12 @@ def _models(frame: Frame, letter_arities: dict, domain_bound: int, mode: str,
         renamings = [([tables[k] for _, tables in per_letter], eq_table)
                      for k, eq_table in enumerate(eq_tables)] \
             if leaders_only else []
+        # The live model: its valuation holds the extensions of the option
+        # indices in shown, and only the letters whose index changed are
+        # written again.
+        valuation = {w: {} for w in worlds}
+        model = Model(frame, domains, valuation, None, mode, constant_domains)
+        shown = [None] * len(names)
         for index in product(*(range(len(c)) for c in choices)):
             # The equality tables of the swaps that fix the valuation.
             ties = []
@@ -593,23 +612,18 @@ def _models(frame: Frame, letter_arities: dict, domain_bound: int, mode: str,
             else:
                 if ties and no_twins:
                     continue
-                valuation = {
-                    w: {name: c[i][k] for name, c, i in zip(names, choices, index)}
-                    for k, w in enumerate(worlds)
-                }
+                for n, (name, c, i) in enumerate(zip(names, choices, index)):
+                    if shown[n] != i:
+                        shown[n] = i
+                        for facts, extension in zip(valuation.values(), c[i]):
+                            facts[name] = extension
                 fitting = identities if identity_only else \
                     _congruent(frame, valuation, partitions, equalities)
                 for j, equality in fitting:
-                    if any(table[j] < j for table in ties):
+                    if ties and any(table[j] < j for table in ties):
                         continue
-                    yield Model(
-                        frame=frame,
-                        domains=domains,
-                        valuation=valuation,
-                        equality=equality,
-                        mode=mode,
-                        constant_domains=constant_domains,
-                    )
+                    model.equality = equality
+                    yield model
                     if one_equality:
                         break
 
@@ -621,13 +635,24 @@ def enumerate_models(frame: Frame, letter_arities: dict, domain_bound: int,
     Only the given letters are interpreted; others cannot affect
     evaluation.  In intuitionistic mode valuations are hereditary.
     Domain assignments come first, then each letter's extension in
-    letter order, then the equality.  The models share their
-    ``domains``, ``valuation`` and ``Equality`` objects with each other,
-    and their extensions and ``Equality`` objects with other searches,
-    so they are read-only.
+    letter order, then the equality.  Each model is independent of the
+    generator (a _copy of _models' live model, with its own per-world
+    valuation dicts), but the models share their ``domains`` with the
+    other models of their domain assignment, and their extensions and
+    ``Equality`` objects with each other and with other searches, so
+    they are read-only.
     """
-    return _models(frame, letter_arities, domain_bound, mode, eq_principle,
-                   constant_domains, leaders_only=False)
+    return map(_copy, _models(frame, letter_arities, domain_bound, mode,
+                              eq_principle, constant_domains,
+                              leaders_only=False))
+
+
+def _copy(model: Model) -> Model:
+    """model with valuation dicts of its own: a live model of _models
+    kept past the next step of its generator."""
+    return Model(model.frame, model.domains,
+                 {w: dict(facts) for w, facts in model.valuation.items()},
+                 model.equality, model.mode, model.constant_domains)
 
 
 # ---------------------------------------------------------------------------
@@ -692,7 +717,7 @@ def _search(frames, f: Formula, report, bounds: dict,
                                warnings=warnings)
             point = first_point(model, compiled, value, worlds)
             if point is not None:
-                return Verdict(outcomes[0], bounds, model=model,
+                return Verdict(outcomes[0], bounds, model=_copy(model),
                                world=point[0], assignment=point[1],
                                warnings=warnings)
     return Verdict(outcomes[1], bounds, warnings=warnings)

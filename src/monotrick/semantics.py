@@ -443,12 +443,16 @@ def first_point(m: Model, compiled: Compiled, value: bool, worlds=None):
     """The first point (world, assignment) of m at which compiled
     evaluates to value, worlds in frame order (or in the order of worlds,
     if given: the only worlds tested) and values in product order; None
-    if there is none.  compiled must be of m's mode."""
+    if there is none.  A closed formula is tested once per world.
+    compiled must be of m's mode; m is only read, so it may be a live
+    model of the search, valid until the search moves on."""
     holds, free = compiled.holds, compiled.free
+    k = len(free)
     # Points are drawn from D(w) and bind exactly the free variables, so
     # evaluate()'s per-point checks hold by construction.
     for w in m.frame.worlds if worlds is None else worlds:
-        for values in product(m.domains[w], repeat=len(free)):
+        points = product(m.domains[w], repeat=k) if free else ((),)
+        for values in points:
             if holds(m, w, values) is value:
                 return w, dict(zip(free, values))
     return None

@@ -240,6 +240,37 @@ def test_file_that_is_not_json_names_option_and_path(capsys, tmp_path,
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("content", (b"\xff\xfe", b"p | \xffq\n"),
+                         ids=("bom", "in-line"))
+@pytest.mark.parametrize("command", ("parse", "classify", "sat", "decide"))
+def test_formula_file_that_is_not_utf8_names_path(capsys, tmp_path,
+                                                  frame_file, command, content):
+    rest = {"sat": ["--worlds", "1", "--domain", "1"],
+            "decide": ["--frame", frame_file, "--domain", "1"]}.get(command, [])
+    path = tmp_path / "formula.txt"
+    path.write_bytes(content)
+    code, out, err = run(capsys, command, *rest, f"@{path}")
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: formula file {path}: not a UTF-8 file: "
+                          "'utf-8' codec can't decode byte 0xff")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("content", (b"\xff\xfe", b"exists x P(x,x)\n\xff\n"),
+                         ids=("bom", "second-line"))
+def test_corpus_file_that_is_not_utf8_names_path(capsys, tmp_path, content):
+    path = tmp_path / "corpus.txt"
+    path.write_bytes(content)
+    code, out, err = run(capsys, "experiment", "--variant", "d2", "--size",
+                         "1", "--json", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: corpus file {path}: not a UTF-8 file: "
+                          "'utf-8' codec can't decode byte 0xff")
+    assert err.count("\n") == 1
+
+
 def test_formula_from_file(capsys, tmp_path):
     path = tmp_path / "f.txt"
     path.write_text("p | ~p  # excluded middle\n")

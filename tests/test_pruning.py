@@ -246,12 +246,14 @@ def naive_models(fr, letter_arities, domain_bound, mode, eq_principle):
 @pytest.mark.parametrize("eq_principle", PRINCIPLES)
 @pytest.mark.parametrize("mode", ("modal", "int"))
 def test_enumerate_models_matches_naive_enumeration(mode, eq_principle):
+    """Every model is kept before any is read, so a model that the
+    enumeration changes after yielding it would show."""
     arities = {"Q": 1, "p": 0}
     for fr in enumerate_frames(2):
         if mode == "int" and not frame_matches(fr, PREORDERS):
             continue
-        got = [model_to_dict(m)
-               for m in enumerate_models(fr, arities, 2, mode, eq_principle)]
+        models = list(enumerate_models(fr, arities, 2, mode, eq_principle))
+        got = [model_to_dict(m) for m in models]
         assert got == naive_models(fr, arities, 2, mode, eq_principle), \
             sorted(fr.access)
 
@@ -369,6 +371,62 @@ def test_decide_matches_unpruned_reference(mode, eq_principle, constant):
                 assert got == reference_decide(fr, f, domain, mode,
                                                eq_principle, constant), \
                     (sorted(fr.access), text, domain)
+
+
+def test_decide_checks_as_many_models_as_before(monkeypatch):
+    """The number of models the decide searches of
+    test_decide_matches_unpruned_reference test, recorded before the
+    search kept one live model per domain assignment: the same models
+    are checked, so step caps stop where they did."""
+    calls = []
+
+    def counting(m, compiled, value, worlds=None):
+        calls.append(None)
+        return first_point(m, compiled, value, worlds)
+    monkeypatch.setattr(search, "first_point", counting)
+    for mode, eq_principle, constant in product(
+            ("modal", "int"), PRINCIPLES, (False, True)):
+        for fr in DECIDE_FRAMES:
+            if mode == "int" and not frame_matches(fr, PREORDERS):
+                continue
+            for text in DECIDE_CASES[mode]:
+                for domain in (1, 2, 3):
+                    decide_valid_over_frame(fr, parse(text), domain, mode,
+                                            eq_principle, constant)
+    assert len(calls) == 40573
+
+
+@pytest.mark.parametrize("command", ("sat", "decide"))
+def test_witness_outlives_the_search(monkeypatch, command):
+    """A witness is a model of its own, not the search's live model: after
+    a second search of the same frame and domains it still serialises as
+    before, passes validate_model and re-evaluates to the claimed value."""
+    tested = []
+
+    def recording(m, compiled, value, worlds=None):
+        tested.append(m)
+        return first_point(m, compiled, value, worlds)
+    monkeypatch.setattr(search, "first_point", recording)
+    if command == "sat":
+        f = parse("exists x (Q(x) & <>~Q(x))")
+        g = parse("exists x Q(x) & <>forall x ~Q(x)")
+        first = sat_bounded(f, FrameClass(), 2, 2)
+        again = lambda: sat_bounded(g, FrameClass(), 2, 2)
+        value = True
+    else:
+        f, g = parse("forall x (Q(x) | ~Q(x))"), parse("exists x Q(x)")
+        first = decide_valid_over_frame(PREORDER3, f, 2, "int")
+        again = lambda: decide_valid_over_frame(PREORDER3, g, 2, "int")
+        value = False
+    witness = first.model
+    assert witness is not tested[-1]
+    assert not any(facts is live for facts, live in zip(
+        witness.valuation.values(), tested[-1].valuation.values()))
+    recorded = model_to_dict(witness)
+    assert again().model is not None
+    assert model_to_dict(witness) == recorded
+    assert validate_model(witness) == []
+    assert evaluate(witness, first.world, first.assignment, f) is value
 
 
 # The same kinds of formula for sat, on up to two worlds with constant and
