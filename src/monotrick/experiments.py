@@ -16,21 +16,31 @@ The classes are a table of plain ints (``_classes``), built once per
 process for each size bound and variant; the labelled structures are
 never all built.  d2 at size 4 (66,066 structures, 3,160 classes) takes
 about 0.25 s to tabulate (Python 3.11, one core of a 2-core host).
+
+A companion model depends on the class, the variant and the naming
+scheme, never on the sentence: ``_companion`` keeps the last
+``_COMPANIONS_KEPT`` across calls, and ``trick_experiment`` goes class
+by class, so each (class, scheme) companion is built at most once per
+call however many classes there are.  The kept models share their
+world names, edges, identity partitions and letter extensions
+(``translations``); the 134 of d2 at size 3 and nd1 at size 4 take about
+0.75 MB.  A kept model is handed to every later call, so it must not be
+modified.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass, field
-from functools import cache
+from functools import cache, lru_cache
 from itertools import combinations
 
 from .search import _least_labelled, _renamed_masks, classical_evaluate
 from .semantics import compile_formula
 from .syntax import free_variables, letters, parse, render
 from .translations import (
-    ClassicalStructure, TranslationError, Variant, build_companion_model,
-    companion, fresh_scheme, kripke_trick,
+    ClassicalStructure, NamingScheme, TranslationError, Variant,
+    build_companion_model, companion, fresh_scheme, kripke_trick,
 )
 
 # A structure on the individuals 0..n-1 is numbered within its size by
@@ -72,6 +82,19 @@ def _bits(n: int, mask: int, symmetric: bool) -> int:
 def _structure(n: int, mask: int) -> ClassicalStructure:
     return ClassicalStructure(tuple(range(n)), frozenset(
         divmod(i, n) for i in range(n * n) if mask >> i & 1))
+
+
+# How many companion models _companion keeps, the least recently used
+# dropped first: the 116 + 18 classes of a d2 size-3 and an nd1 size-4
+# experiment fit, with one naming scheme each.
+_COMPANIONS_KEPT = 256
+
+
+@lru_cache(maxsize=_COMPANIONS_KEPT)
+def _companion(n: int, mask: int, variant: Variant, scheme: NamingScheme):
+    """build_companion_model of the structure (n, mask): it depends on the
+    class, the variant and the naming scheme, never on the sentence."""
+    return build_companion_model(_structure(n, mask), variant, scheme)
 
 
 def enumerate_structures(max_size: int, symmetric_irreflexive: bool = False):
@@ -142,14 +165,19 @@ def trick_experiment(corpus, variant: Variant, size_bound: int) -> ExperimentRep
 
     structure_count, classes = _classes(size_bound, symmetric)
     representatives = [_structure(n, mask) for _, n, mask, _ in classes]
+    schemes = dict.fromkeys(scheme for _, scheme, _, _ in formulas)
     agreement = 0
-    disagreements = []
-    for f, scheme, translated, binary in formulas:
-        wrong = []
-        for (idx, n, mask, orbit), s in zip(classes, representatives):
+    wrong = [[] for _ in formulas]  # per sentence, its disagreements
+    # Class-major: each (class, scheme) companion is looked up once per
+    # call, so it is built at most once even when the classes outnumber
+    # what _companion keeps.
+    for (idx, n, mask, orbit), s in zip(classes, representatives):
+        models = {scheme: _companion(n, mask, variant, scheme)
+                  for scheme in schemes}
+        for (f, scheme, translated, binary), out in zip(formulas, wrong):
             interp = {binary: s.relation} if binary else {}
             classical = classical_evaluate(s.domain, interp, {}, f)
-            model, root = build_companion_model(s, variant, scheme)
+            model, root = models[scheme]
             # f is closed (checked above), so is its translation, and the
             # root is a world of the companion model: evaluate()'s checks
             # hold by construction.
@@ -158,9 +186,11 @@ def trick_experiment(corpus, variant: Variant, size_bound: int) -> ExperimentRep
                 agreement += orbit
             else:
                 offset = idx - _bits(n, mask, symmetric)  # of size n
-                wrong += ((offset + _bits(n, m, symmetric), n, m, classical,
-                           modal) for m in {mask, *_renamed_masks(n, mask)})
-        for idx, n, mask, classical, modal in sorted(wrong):
+                out += ((offset + _bits(n, m, symmetric), n, m, classical,
+                         modal) for m in {mask, *_renamed_masks(n, mask)})
+    disagreements = []
+    for (f, *_), out in zip(formulas, wrong):
+        for idx, n, mask, classical, modal in sorted(out):
             s = _structure(n, mask)
             disagreements.append({
                 "formula": render(f),

@@ -63,13 +63,18 @@ class Frame:
 class Equality:
     principle: str
     classes: dict[str, tuple[frozenset, ...]]  # world -> partition of D(w)
-    # world -> individual -> its block, built once; models that share this
-    # Equality share the maps.
+    # world -> individual -> its block, built once per partition object;
+    # worlds that share a partition, and models that share this Equality,
+    # share the map.
     blocks: dict[str, dict] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        maps = {}  # id of a partition of self.classes -> its block map
+        for part in self.classes.values():
+            if id(part) not in maps:
+                maps[id(part)] = block_map(part)
         object.__setattr__(self, "blocks", {
-            w: block_map(part) for w, part in self.classes.items()})
+            w: maps[id(part)] for w, part in self.classes.items()})
 
     def related(self, w: str, a, b) -> bool:
         blocks = self.blocks.get(w, _NO_BLOCKS)

@@ -6,9 +6,10 @@ command (``EDGE_RECORD``), of capped ``sat`` lines for formulas
 without modalities (``CAPPED_RECORD``), of uncapped ``decide`` lines
 on three-world frames at modal depths 0-3 (``VIEWS_RECORD``), and of
 capped and uncapped ``decide`` lines with ``=`` on frames that no world
-generates or that are not connected (``FRAMES_RECORD``), and of
+generates or that are not connected (``FRAMES_RECORD``), of
 ``parse`` and ``classify`` lines that read their formula from a file
-(``FORMULAS_RECORD``).
+(``FORMULAS_RECORD``), and of ``experiment`` lines over more classes
+than ``experiments`` keeps companion models for (``EXPERIMENT_RECORD``).
 
     PYTHONPATH=src python -m tests.batch_outputs --write DIR
     PYTHONPATH=src python -m tests.batch_outputs --check DIR
@@ -46,6 +47,7 @@ CAPPED_RECORD = "capped-sat"
 VIEWS_RECORD = "views"
 FRAMES_RECORD = "frames"
 FORMULAS_RECORD = "formulas"
+EXPERIMENT_RECORD = "experiment-d2-size4"
 WALL_TIME = re.compile(r'"wall_time": [-+0-9.eE]+|skipped; [0-9.]+s$',
                        re.MULTILINE)
 
@@ -338,6 +340,29 @@ def formula_outputs() -> list:
     return _played("formulas", formula_lines(), FORMULA_FILES)
 
 
+# Three sentences of the classical corpus, checked by d2 on the 3,160
+# classes of the structures of up to four individuals: more companion
+# models than experiments._COMPANIONS_KEPT.
+EXPERIMENT_FILES = {
+    "<sentences.txt>": "forall x exists y P(x,y)\n"
+                       "forall x forall y forall z (P(x,y) & P(y,z) -> P(x,z))\n"
+                       "exists x forall y P(y,x)\n",
+}
+
+
+def experiment_lines() -> list:
+    """``experiment --variant d2 --size 4`` of the three sentences, with
+    and without ``--json``."""
+    return [["experiment", *json_flag, "--variant", "d2", "--size", "4",
+             "<sentences.txt>"] for json_flag in (["--json"], [])]
+
+
+def experiment_outputs() -> list:
+    """["experiment", argv, exit code, stdout, stderr] of each line of
+    ``experiment_lines()``."""
+    return _played("experiment", experiment_lines(), EXPERIMENT_FILES)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m tests.batch_outputs", description=__doc__.split("\n")[0])
@@ -354,7 +379,8 @@ def main(argv=None) -> int:
                for name in WORKLOADS for seed in SEEDS]
     records += [(EDGE_RECORD, edge_outputs), (CAPPED_RECORD, capped_outputs),
                 (VIEWS_RECORD, view_outputs), (FRAMES_RECORD, frame_outputs),
-                (FORMULAS_RECORD, formula_outputs)]
+                (FORMULAS_RECORD, formula_outputs),
+                (EXPERIMENT_RECORD, experiment_outputs)]
     differing = total = 0
     for stem, outputs_of in records:
         path = directory / f"{stem}.json"

@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import combinations, permutations
 
 import pytest
@@ -8,7 +9,7 @@ from monotrick.experiments import (
 )
 from monotrick.search import classical_evaluate
 from monotrick.semantics import compile_formula
-from monotrick.syntax import parse, render
+from monotrick.syntax import letters, parse, render
 from monotrick.translations import (
     ClassicalStructure, TranslationError, Variant, build_companion_model,
     fresh_scheme, kripke_trick,
@@ -115,11 +116,16 @@ def _mask(s):
     return sum(1 << (n * a + b) for a, b in s.relation)
 
 
+def _least_member(s):
+    """(n, relation mask) of the least-labelled member of s's class."""
+    n = len(s.domain)
+    return n, min(sum(1 << (n * p[a] + p[b]) for a, b in s.relation)
+                  for p in permutations(range(n)))
+
+
 def _least_in_class(s):
     """Whether no renaming of the domain gives s a smaller relation mask."""
-    n = len(s.domain)
-    return _mask(s) == min(sum(1 << (n * p[a] + p[b]) for a, b in s.relation)
-                           for p in permutations(range(n)))
+    return _least_member(s) == (len(s.domain), _mask(s))
 
 
 def _labelled_walk(corpus, variant, size_bound):
@@ -131,8 +137,10 @@ def _labelled_walk(corpus, variant, size_bound):
         scheme = fresh_scheme(f)
         translated = compile_formula(experiments.kripke_trick(f, variant,
                                                               scheme), "modal")
+        binary, = (name for name, a in letters(f).items() if a == 2)
         for idx, s in enumerate(structures):
-            classical = classical_evaluate(s.domain, {"P": s.relation}, {}, f)
+            classical = classical_evaluate(s.domain, {binary: s.relation},
+                                           {}, f)
             model, root = build_companion_model(s, variant, scheme)
             modal = translated.holds(model, root, ())
             if classical == modal:
@@ -170,21 +178,85 @@ def test_one_structure_per_class_matches_labelled_walk(monkeypatch, corpus,
     count, agreement, disagreements = _labelled_walk(sentences, variant, size)
     assert disagreements and agreement
 
-    visited = []
+    met, built = [], []
 
-    def spy(s, *args):
-        visited.append(s)
+    def oracle(domain, interp, assignment, f):
+        met.append((render(f), tuple(domain), interp["P"]))
+        return classical_evaluate(domain, interp, assignment, f)
+
+    def builder(s, *args):
+        built.append(s)
         return build_companion_model(s, *args)
 
-    monkeypatch.setattr(experiments, "build_companion_model", spy)
+    monkeypatch.setattr(experiments, "classical_evaluate", oracle)
+    monkeypatch.setattr(experiments, "build_companion_model", builder)
+    experiments._companion.cache_clear()
     report = trick_experiment(sentences, variant, size)
     assert report.structure_count == count
     assert report.agreement == agreement
     assert report.disagreements == disagreements
-    # Each sentence is checked on the least-labelled member of each class.
+    # Each sentence meets the least-labelled member of each class, class
+    # by class, and each class's companion is built once: the sentences
+    # share one naming scheme.
     representatives = [s for s in enumerate_structures(
         size, variant is Variant.NEG_DIAMOND1) if _least_in_class(s)]
-    assert visited == representatives * len(sentences)
+    assert met == [(render(parse(text)), s.domain, s.relation)
+                   for s in representatives for text in sentences]
+    assert built == representatives
+    # A second call finds every companion kept and builds none.
+    built.clear()
+    again = trick_experiment(sentences, variant, size)
+    assert built == []
+    assert again.disagreements == disagreements
+
+
+def test_experiment_matches_fresh_companions(monkeypatch):
+    """Each (class, sentence) verdict of trick_experiment agrees with one
+    on a companion model built afresh, faithful translation and
+    unfaithful, each run after the others in one process: a kept
+    companion looked up under the wrong variant or naming scheme would
+    show.  The Q1 sentences get the naming scheme Q1_1, Q2_1, ... and come
+    after sentences over P, whose companions use Q1, Q2."""
+    runs = [(read_corpus("classical_corpus.txt"), Variant.DIAMOND2, 3),
+            (read_corpus("graph_corpus.txt"), Variant.NEG_DIAMOND1, 4),
+            (read_corpus("graph_corpus.txt"), Variant.NEG_DIAMOND1, 5),
+            (["exists x exists y P(x,y)", "exists x exists y Q1(x,y)",
+              "forall x exists y (Q1(x,y) & ~Q1(y,x))"], Variant.DIAMOND2, 3)]
+    for translate in (kripke_trick, _unfaithful):
+        monkeypatch.setattr(experiments, "kripke_trick", translate)
+        disagreeing = set()
+        for sentences, variant, size in runs:
+            structures = list(enumerate_structures(
+                size, variant is Variant.NEG_DIAMOND1))
+            classes = {_least_member(s): s for s in structures
+                       if _least_in_class(s)}
+            orbits = Counter(map(_least_member, structures))
+            agreement, wrong = 0, {}
+            for f in map(parse, sentences):
+                scheme = fresh_scheme(f)
+                translated = compile_formula(translate(f, variant, scheme),
+                                             "modal")
+                binary, = (name for name, a in letters(f).items() if a == 2)
+                for key, s in classes.items():
+                    classical = classical_evaluate(
+                        s.domain, {binary: s.relation}, {}, f)
+                    model, root = build_companion_model(s, variant, scheme)
+                    modal = translated.holds(model, root, ())
+                    if classical == modal:
+                        agreement += orbits[key]
+                    else:
+                        wrong[render(f), key] = classical, modal
+            report = trick_experiment(sentences, variant, size)
+            assert report.agreement == agreement
+            assert len(report.disagreements) == sum(
+                orbits[key] for _, key in wrong)
+            assert {(d["formula"], _least_member(
+                        structures[d["structure_index"]])):
+                    (d["classical"], d["modal"])
+                    for d in report.disagreements} == wrong
+            disagreeing.update(wrong)
+        # The trick is faithful; negating every P atom is not.
+        assert bool(disagreeing) == (translate is _unfaithful)
 
 
 @pytest.mark.parametrize("symmetric, size", [(False, 3), (True, 5)])
