@@ -18,29 +18,26 @@ never all built.  d2 at size 4 (66,066 structures, 3,160 classes) takes
 about 0.25 s to tabulate (Python 3.11, one core of a 2-core host).
 
 A companion model depends on the class, the variant and the naming
-scheme, never on the sentence: ``_companion`` keeps the last
-``_COMPANIONS_KEPT`` across calls, and ``trick_experiment`` goes class
-by class, so each (class, scheme) companion is built at most once per
-call however many classes there are.  The kept models share their
-world names, edges, identity partitions and letter extensions
-(``translations``); the 134 of d2 at size 3 and nd1 at size 4 take about
-0.75 MB.  A kept model is handed to every later call, so it must not be
-modified.
+scheme, never on the sentence: ``trick_experiment`` goes class by class
+and builds each (class, scheme) companion once per call, for all the
+sentences of the corpus, and drops it before the next class.  Nothing
+is kept across calls, so a call holds one companion per naming scheme
+at a time.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass, field
-from functools import cache, lru_cache
+from functools import cache
 from itertools import combinations
 
 from .search import _least_labelled, _renamed_masks, classical_evaluate
 from .semantics import compile_formula
 from .syntax import free_variables, letters, parse, render
 from .translations import (
-    ClassicalStructure, NamingScheme, TranslationError, Variant,
-    build_companion_model, companion, fresh_scheme, kripke_trick,
+    ClassicalStructure, TranslationError, Variant, build_companion_model,
+    companion, fresh_scheme, kripke_trick,
 )
 
 # A structure on the individuals 0..n-1 is numbered within its size by
@@ -82,19 +79,6 @@ def _bits(n: int, mask: int, symmetric: bool) -> int:
 def _structure(n: int, mask: int) -> ClassicalStructure:
     return ClassicalStructure(tuple(range(n)), frozenset(
         divmod(i, n) for i in range(n * n) if mask >> i & 1))
-
-
-# How many companion models _companion keeps, the least recently used
-# dropped first: the 116 + 18 classes of a d2 size-3 and an nd1 size-4
-# experiment fit, with one naming scheme each.
-_COMPANIONS_KEPT = 256
-
-
-@lru_cache(maxsize=_COMPANIONS_KEPT)
-def _companion(n: int, mask: int, variant: Variant, scheme: NamingScheme):
-    """build_companion_model of the structure (n, mask): it depends on the
-    class, the variant and the naming scheme, never on the sentence."""
-    return build_companion_model(_structure(n, mask), variant, scheme)
 
 
 def enumerate_structures(max_size: int, symmetric_irreflexive: bool = False):
@@ -168,11 +152,10 @@ def trick_experiment(corpus, variant: Variant, size_bound: int) -> ExperimentRep
     schemes = dict.fromkeys(scheme for _, scheme, _, _ in formulas)
     agreement = 0
     wrong = [[] for _ in formulas]  # per sentence, its disagreements
-    # Class-major: each (class, scheme) companion is looked up once per
-    # call, so it is built at most once even when the classes outnumber
-    # what _companion keeps.
+    # Class-major: each (class, scheme) companion is built once, for all
+    # the sentences.
     for (idx, n, mask, orbit), s in zip(classes, representatives):
-        models = {scheme: _companion(n, mask, variant, scheme)
+        models = {scheme: build_companion_model(s, variant, scheme)
                   for scheme in schemes}
         for (f, scheme, translated, binary), out in zip(formulas, wrong):
             interp = {binary: s.relation} if binary else {}

@@ -58,6 +58,18 @@ class Frame:
             w: tuple(v for v in self.worlds if (w, v) in self.access)
             for w in self.worlds})
 
+    @classmethod
+    def universal(cls, worlds: tuple[str, ...]) -> Frame:
+        """The frame on worlds in which every world sees every world,
+        itself included.  Each world's successors are all the worlds, so
+        succ is filled without testing the pairs one by one."""
+        frame = object.__new__(cls)
+        for name, value in (("worlds", worlds),
+                            ("access", frozenset(product(worlds, repeat=2))),
+                            ("succ", dict.fromkeys(worlds, worlds))):
+            object.__setattr__(frame, name, value)
+        return frame
+
 
 @dataclass(frozen=True)
 class Equality:

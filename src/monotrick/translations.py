@@ -8,11 +8,9 @@ the root exactly when the original pair is in the relation.
 
 from __future__ import annotations
 
-import sys
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
 from itertools import combinations_with_replacement
 
 from .semantics import Equality, Frame, Model, identity_partition
@@ -167,42 +165,18 @@ def kripke_trick(f: Formula, variant: Variant,
     return go(f)
 
 
-# How many identity partitions, letter extensions and pairs of worlds the
-# companion models share, the least recently used dropped first; d2 at
-# size 3 and nd1 at size 4 ask for 196 pairs and fewer of the others.
-# World names are interned, so the models share those too.
-_SHARED_PARTS = 256
-
-
-@lru_cache(maxsize=_SHARED_PARTS)
-def _extension(*individuals) -> frozenset:
-    """The extension {(a,) for a in individuals} of a unary letter, one
-    object for all the companion models that hold it."""
-    return frozenset((a,) for a in individuals)
-
-
-@lru_cache(maxsize=_SHARED_PARTS)
-def _pair(u: str, v: str) -> tuple:
-    """The edge (u, v) of a universal frame, one object for all the
-    companion models that hold it."""
-    return u, v
-
-
-_identity = lru_cache(maxsize=_SHARED_PARTS)(identity_partition)
-
-
 def _d2_worlds(m: ClassicalStructure, domain: tuple, names: NamingScheme):
     """One world per pair (a, b) of the relation: Q1(a), Q2(b)."""
     for (a, b) in sorted(m.relation, key=lambda p: (str(p[0]), str(p[1]))):
-        yield sys.intern(f"w_{a}_{b}"), {names.q1: _extension(a),
-                                         names.q2: _extension(b)}
+        yield f"w_{a}_{b}", {names.q1: frozenset([(a,)]),
+                             names.q2: frozenset([(b,)])}
 
 
 def _nd1_worlds(m: ClassicalStructure, domain: tuple, names: NamingScheme):
     """One world per unordered non-edge {a, b}, a = b included: Q(a), Q(b)."""
     for (a, b) in combinations_with_replacement(domain, 2):
         if (a, b) not in m.relation:
-            yield sys.intern(f"w_{a}_{b}"), {names.q: _extension(a, b)}
+            yield f"w_{a}_{b}", {names.q: frozenset({(a,), (b,)})}
 
 
 # variant -> (needs a symmetric irreflexive relation, a generator of the
@@ -240,13 +214,12 @@ def build_companion_model(m: ClassicalStructure, variant: Variant,
     valuation: dict[str, dict[str, frozenset]] = {"root": {}}
     valuation.update(above_root(m, domain, names))
     worlds = tuple(valuation)
-    identity = _identity(domain)
     model = Model(
-        frame=Frame(worlds, frozenset(_pair(u, v) for u in worlds
-                                      for v in worlds)),
-        domains={w: domain for w in worlds},
+        frame=Frame.universal(worlds),
+        domains=dict.fromkeys(worlds, domain),
         valuation=valuation,
-        equality=Equality("eq3", {w: identity for w in worlds}),
+        equality=Equality("eq3", dict.fromkeys(
+            worlds, identity_partition(domain))),
         mode="modal",
         constant_domains=True,
     )

@@ -8,8 +8,8 @@ on three-world frames at modal depths 0-3 (``VIEWS_RECORD``), and of
 capped and uncapped ``decide`` lines with ``=`` on frames that no world
 generates or that are not connected (``FRAMES_RECORD``), of
 ``parse`` and ``classify`` lines that read their formula from a file
-(``FORMULAS_RECORD``), and of ``experiment`` lines over more classes
-than ``experiments`` keeps companion models for (``EXPERIMENT_RECORD``).
+(``FORMULAS_RECORD``), and of ``experiment`` lines over the 3,160
+classes of ``d2`` at size 4 (``EXPERIMENT_RECORD``).
 
     PYTHONPATH=src python -m tests.batch_outputs --write DIR
     PYTHONPATH=src python -m tests.batch_outputs --check DIR
@@ -341,8 +341,8 @@ def formula_outputs() -> list:
 
 
 # Three sentences of the classical corpus, checked by d2 on the 3,160
-# classes of the structures of up to four individuals: more companion
-# models than experiments._COMPANIONS_KEPT.
+# classes of the structures of up to four individuals, one companion
+# model each.
 EXPERIMENT_FILES = {
     "<sentences.txt>": "forall x exists y P(x,y)\n"
                        "forall x forall y forall z (P(x,y) & P(y,z) -> P(x,z))\n"

@@ -38,8 +38,6 @@ def test_traced_queries_pass_the_gate_and_the_tracer_uninstalls(perfbench,
     verdict = api["search"].Verdict
     to_json = vars(verdict)["to_json"]
 
-    # Companion models kept from earlier tests would leave nothing to build.
-    api["experiments"]._companion.cache_clear()
     tracer = tracing.Tracer(api)
     tracer.install()
     failures, companion_calls = [], {}

@@ -373,6 +373,25 @@ def test_evaluate_over_points_hits_the_compile_cache():
     assert after.hits - before.hits == len(points)
 
 
+@pytest.mark.parametrize("worlds", [("root",), ("root", "w_0_1", "w_1_0"),
+                                    tuple(f"w{i}" for i in range(10))])
+def test_universal_frame_is_the_frame_of_all_pairs(worlds):
+    universal = Frame.universal(worlds)
+    plain = Frame(worlds, frozenset(product(worlds, repeat=2)))
+    assert universal == plain
+    assert universal.succ == plain.succ
+    assert repr(universal) == repr(plain)
+
+
+def test_worlds_that_share_a_partition_share_its_block_map():
+    ab, a_b = (frozenset("ab"),), identity_partition(("a", "b"))
+    eq = Equality("eq1", {"w": ab, "v": a_b, "u": a_b})
+    assert eq.blocks["v"] is eq.blocks["u"]
+    assert eq.blocks["w"] is not eq.blocks["v"]
+    assert eq.related("w", "a", "b")
+    assert not eq.related("v", "a", "b") and not eq.related("u", "a", "b")
+
+
 def test_modal_dualities_pointwise():
     rng = random.Random(5)
     m = simple_model(valuation={
