@@ -8,8 +8,9 @@ on three-world frames at modal depths 0-3 (``VIEWS_RECORD``), and of
 capped and uncapped ``decide`` lines with ``=`` on frames that no world
 generates or that are not connected (``FRAMES_RECORD``), of
 ``parse`` and ``classify`` lines that read their formula from a file
-(``FORMULAS_RECORD``), and of ``experiment`` lines over the 3,160
-classes of ``d2`` at size 4 (``EXPERIMENT_RECORD``).
+(``FORMULAS_RECORD``), of ``experiment`` lines over the 3,160
+classes of ``d2`` at size 4 (``EXPERIMENT_RECORD``), and of
+``experiment`` lines over whole corpora (``CORPORA_RECORD``).
 
     PYTHONPATH=src python -m tests.batch_outputs --write DIR
     PYTHONPATH=src python -m tests.batch_outputs --check DIR
@@ -48,6 +49,8 @@ VIEWS_RECORD = "views"
 FRAMES_RECORD = "frames"
 FORMULAS_RECORD = "formulas"
 EXPERIMENT_RECORD = "experiment-d2-size4"
+CORPORA_RECORD = "experiment-corpora"
+DATA = pathlib.Path(__file__).resolve().parent / "data"
 WALL_TIME = re.compile(r'"wall_time": [-+0-9.eE]+|skipped; [0-9.]+s$',
                        re.MULTILINE)
 
@@ -363,6 +366,34 @@ def experiment_outputs() -> list:
     return _played("experiment", experiment_lines(), EXPERIMENT_FILES)
 
 
+# The test corpora, and a corpus that mixes a sentence over P with two
+# over Q1, which take the naming scheme Q1_1, Q2_1, ...
+CORPORA_FILES = {
+    "<classical.txt>": (DATA / "classical_corpus.txt").read_text(encoding="utf-8"),
+    "<graph.txt>": (DATA / "graph_corpus.txt").read_text(encoding="utf-8"),
+    "<mixed.txt>": "exists x exists y P(x,y)\n"
+                   "exists x exists y Q1(x,y)\n"
+                   "forall x exists y (Q1(x,y) & ~Q1(y,x))\n",
+}
+
+
+def corpora_lines() -> list:
+    """``experiment`` of d2 at size 3 on the classical and the mixed
+    corpus and of nd1 at sizes 4 and 5 on the graph corpus, with and
+    without ``--json``."""
+    runs = (("d2", "3", "<classical.txt>"), ("nd1", "4", "<graph.txt>"),
+            ("nd1", "5", "<graph.txt>"), ("d2", "3", "<mixed.txt>"))
+    return [["experiment", *json_flag, "--variant", variant, "--size", size,
+             corpus] for variant, size, corpus in runs
+            for json_flag in (["--json"], [])]
+
+
+def corpora_outputs() -> list:
+    """["corpora", argv, exit code, stdout, stderr] of each line of
+    ``corpora_lines()``."""
+    return _played("corpora", corpora_lines(), CORPORA_FILES)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m tests.batch_outputs", description=__doc__.split("\n")[0])
@@ -380,7 +411,8 @@ def main(argv=None) -> int:
     records += [(EDGE_RECORD, edge_outputs), (CAPPED_RECORD, capped_outputs),
                 (VIEWS_RECORD, view_outputs), (FRAMES_RECORD, frame_outputs),
                 (FORMULAS_RECORD, formula_outputs),
-                (EXPERIMENT_RECORD, experiment_outputs)]
+                (EXPERIMENT_RECORD, experiment_outputs),
+                (CORPORA_RECORD, corpora_outputs)]
     differing = total = 0
     for stem, outputs_of in records:
         path = directory / f"{stem}.json"
