@@ -18,11 +18,14 @@ never all built.  d2 at size 4 (66,066 structures, 3,160 classes) takes
 about 0.25 s to tabulate (Python 3.11, one core of a 2-core host).
 
 A companion model depends on the class, the variant and the naming
-scheme, never on the sentence: ``trick_experiment`` goes class by class
-and builds each (class, scheme) companion once per call, for all the
-sentences of the corpus, and drops it before the next class.  Nothing
-is kept across calls, so a call holds one companion per naming scheme
-at a time.
+scheme, never on the sentence, and its worlds depend only on the pairs
+of the domain: ``trick_experiment`` compiles each sentence once (its
+classical truth and its translation) and makes one companion builder
+(``translations.companion_builder``) per domain size and scheme.  It
+goes class by class and builds each (class, scheme) companion once per
+call, for all the sentences of the corpus, and drops it before the next
+class.  Nothing is kept across calls, so a call holds one companion per
+naming scheme at a time.
 """
 
 from __future__ import annotations
@@ -32,12 +35,12 @@ from dataclasses import asdict, dataclass, field
 from functools import cache
 from itertools import combinations
 
-from .search import _least_labelled, _renamed_masks, classical_evaluate
+from .search import _least_labelled, _renamed_masks, compile_classical
 from .semantics import compile_formula
 from .syntax import free_variables, letters, parse, render
 from .translations import (
-    ClassicalStructure, TranslationError, Variant, build_companion_model,
-    companion, fresh_scheme, kripke_trick,
+    ClassicalStructure, TranslationError, Variant, companion,
+    companion_builder, fresh_scheme, kripke_trick,
 )
 
 # A structure on the individuals 0..n-1 is numbered within its size by
@@ -121,9 +124,11 @@ class ExperimentReport:
 
 def trick_experiment(corpus, variant: Variant, size_bound: int) -> ExperimentReport:
     """Compare classical truth with companion-root truth of the translation."""
-    symmetric, _ = companion(variant)
+    symmetric = companion(variant).symmetric_irreflexive
     started = time.perf_counter()
-    formulas = []  # (sentence, naming scheme, compiled translation, binary)
+    # (sentence, naming scheme, its classical truth, truth of its
+    # translation, binary letter), each sentence compiled once
+    formulas = []
     skipped = []
     for entry in corpus:
         f = parse(entry) if isinstance(entry, str) else entry
@@ -144,27 +149,29 @@ def trick_experiment(corpus, variant: Variant, size_bound: int) -> ExperimentRep
             skipped.append({"formula": render(f), "reason": str(exc)})
             continue
         binary = next((name for name, a in arities.items() if a == 2), None)
-        formulas.append((f, scheme, compile_formula(translated, "modal"),
-                         binary))
+        formulas.append((f, scheme, compile_classical(f).holds,
+                         compile_formula(translated, "modal").holds, binary))
 
     structure_count, classes = _classes(size_bound, symmetric)
     representatives = [_structure(n, mask) for _, n, mask, _ in classes]
-    schemes = dict.fromkeys(scheme for _, scheme, _, _ in formulas)
+    schemes = dict.fromkeys(scheme for _, scheme, *_ in formulas)
+    builders = {(n, scheme): companion_builder(variant, scheme, range(n))
+                for n in range(1, size_bound + 1) for scheme in schemes}
     agreement = 0
     wrong = [[] for _ in formulas]  # per sentence, its disagreements
     # Class-major: each (class, scheme) companion is built once, for all
     # the sentences.
     for (idx, n, mask, orbit), s in zip(classes, representatives):
-        models = {scheme: build_companion_model(s, variant, scheme)
-                  for scheme in schemes}
-        for (f, scheme, translated, binary), out in zip(formulas, wrong):
+        models = {scheme: builders[n, scheme](s) for scheme in schemes}
+        for (f, scheme, classical_holds, modal_holds, binary), out in \
+                zip(formulas, wrong):
             interp = {binary: s.relation} if binary else {}
-            classical = classical_evaluate(s.domain, interp, {}, f)
-            model, root = models[scheme]
             # f is closed (checked above), so is its translation, and the
-            # root is a world of the companion model: evaluate()'s checks
-            # hold by construction.
-            modal = translated.holds(model, root, ())
+            # root is a world of the companion model: the evaluators'
+            # checks hold by construction.
+            classical = classical_holds(s.domain, interp, ())
+            model, root = models[scheme]
+            modal = modal_holds(model, root, ())
             if classical == modal:
                 agreement += orbit
             else:

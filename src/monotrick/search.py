@@ -2,6 +2,11 @@
 bounded satisfiability/validity over frame classes, and the
 fixed-finite-frame decision procedure.
 
+The classical oracle (``compile_classical``, ``classical_evaluate``)
+compiles a first-order formula once into closures with a dispatch of
+its own; it shares no code with the Kripke evaluator of ``semantics``,
+which it cross-checks.
+
 All enumerations are deterministic: world counts and domain sizes
 ascend, relations and valuations follow lexicographic bit order, and
 witnesses are always the enumeration-order-least.
@@ -124,6 +129,8 @@ import json
 from dataclasses import asdict, dataclass, field, make_dataclass
 from functools import cache, lru_cache
 from itertools import islice, permutations, product
+from operator import itemgetter
+from typing import Callable, NamedTuple
 
 from .semantics import (
     Equality, Frame, Model, compile_formula, evaluate, first_point,
@@ -355,38 +362,121 @@ class ClassicalSearchError(ValueError):
     pass
 
 
+class ClassicalCompiled(NamedTuple):
+    """A first-order formula compiled by compile_classical.
+
+    ``holds(domain, interp, values)`` is the classical truth of the
+    formula over domain, with each letter's extension (a set of tuples)
+    in interp and ``values[i]`` assigned to ``free[i]``.  It runs no
+    checks: every free variable must get a value.
+    """
+    free: tuple[str, ...]
+    holds: Callable[[tuple, dict, tuple], bool]
+
+
+_NO_TUPLES: frozenset = frozenset()
+
+
+# The experiment compiles each sentence once and classical_sat once per
+# query; classical_evaluate's callers loop over one formula (or alternate
+# a few).  A small cache serves them all.
+@lru_cache(maxsize=8)
+def compile_classical(f: Formula) -> ClassicalCompiled:
+    """Compile f once into nested closures for classical truth; equality
+    is identity.
+
+    Variables become slots of a list: the free variables, sorted, come
+    first; every quantifier occurrence owns one further slot, so binding
+    a variable never overwrites a value that is still in scope.  A
+    modality anywhere in f is a ClassicalSearchError here, before any
+    evaluation.
+    """
+    free = tuple(sorted(free_variables(f)))
+    used = [len(free)]
+    root = _compile_classical(f, {x: i for i, x in enumerate(free)}, used)
+    pad = (None,) * (used[0] - len(free))
+
+    def holds(domain, interp, values):
+        return root(domain, interp, [*values, *pad])
+    return ClassicalCompiled(free, holds)
+
+
+def _compile_classical(f: Formula, slots: dict, used: list):
+    """Closure ev(domain, interp, env) for f; slots maps each variable in
+    scope to its index in env, and used[0] counts the slots handed out
+    so far."""
+    if isinstance(f, Atom):
+        letter = f.letter
+        if not f.args:
+            return lambda domain, interp, env: \
+                () in interp.get(letter, _NO_TUPLES)
+        if len(f.args) == 1:
+            i = slots[f.args[0]]
+            return lambda domain, interp, env: \
+                (env[i],) in interp.get(letter, _NO_TUPLES)
+        key = itemgetter(*(slots[x] for x in f.args))
+        return lambda domain, interp, env: \
+            key(env) in interp.get(letter, _NO_TUPLES)
+    if isinstance(f, Eq):
+        i, j = slots[f.left], slots[f.right]
+        return lambda domain, interp, env: env[i] == env[j]
+    if isinstance(f, Verum):
+        return lambda domain, interp, env: True
+    if isinstance(f, Falsum):
+        return lambda domain, interp, env: False
+    if isinstance(f, (Forall, Exists)):
+        k = used[0]
+        used[0] += 1
+        body = _compile_classical(f.body, {**slots, f.var: k}, used)
+        if isinstance(f, Exists):
+            def ev(domain, interp, env):
+                for a in domain:
+                    env[k] = a
+                    if body(domain, interp, env):
+                        return True
+                return False
+        else:
+            def ev(domain, interp, env):
+                for a in domain:
+                    env[k] = a
+                    if not body(domain, interp, env):
+                        return False
+                return True
+        return ev
+    if isinstance(f, Not):
+        body = _compile_classical(f.body, slots, used)
+        return lambda domain, interp, env: not body(domain, interp, env)
+    if not isinstance(f, (And, Or, Implies, Iff)):
+        raise ClassicalSearchError(
+            f"modality in classical formula: {type(f).__name__}")
+    left = _compile_classical(f.left, slots, used)
+    right = _compile_classical(f.right, slots, used)
+    if isinstance(f, And):
+        return lambda domain, interp, env: \
+            left(domain, interp, env) and right(domain, interp, env)
+    if isinstance(f, Or):
+        return lambda domain, interp, env: \
+            left(domain, interp, env) or right(domain, interp, env)
+    if isinstance(f, Implies):
+        return lambda domain, interp, env: \
+            not left(domain, interp, env) or right(domain, interp, env)
+    return lambda domain, interp, env: \
+        left(domain, interp, env) == right(domain, interp, env)
+
+
 def classical_evaluate(domain: tuple, interp: dict, assignment: dict,
                        f: Formula) -> bool:
-    """Classical truth over a finite domain; equality is identity."""
-    if isinstance(f, Atom):
-        return tuple(assignment[x] for x in f.args) in interp.get(f.letter, frozenset())
-    if isinstance(f, Eq):
-        return assignment[f.left] == assignment[f.right]
-    if isinstance(f, Verum):
-        return True
-    if isinstance(f, Falsum):
-        return False
-    if isinstance(f, Not):
-        return not classical_evaluate(domain, interp, assignment, f.body)
-    if isinstance(f, And):
-        return classical_evaluate(domain, interp, assignment, f.left) and \
-            classical_evaluate(domain, interp, assignment, f.right)
-    if isinstance(f, Or):
-        return classical_evaluate(domain, interp, assignment, f.left) or \
-            classical_evaluate(domain, interp, assignment, f.right)
-    if isinstance(f, Implies):
-        return (not classical_evaluate(domain, interp, assignment, f.left)) or \
-            classical_evaluate(domain, interp, assignment, f.right)
-    if isinstance(f, Iff):
-        return classical_evaluate(domain, interp, assignment, f.left) == \
-            classical_evaluate(domain, interp, assignment, f.right)
-    if isinstance(f, Forall):
-        return all(classical_evaluate(domain, interp, {**assignment, f.var: a}, f.body)
-                   for a in domain)
-    if isinstance(f, Exists):
-        return any(classical_evaluate(domain, interp, {**assignment, f.var: a}, f.body)
-                   for a in domain)
-    raise ClassicalSearchError(f"modality in classical formula: {type(f).__name__}")
+    """Classical truth over a finite domain; equality is identity.
+
+    f is compiled once (compile_classical), so a modality is rejected
+    wherever it occurs, and a free variable without a value in the
+    assignment is a ClassicalSearchError.
+    """
+    free, holds = compile_classical(f)
+    missing = [x for x in free if x not in assignment]
+    if missing:
+        raise ClassicalSearchError(f"unassigned free variables: {missing}")
+    return holds(domain, interp, [assignment[x] for x in free])
 
 
 def _subsets(tuples: list):
@@ -415,6 +505,7 @@ def classical_sat(f: Formula, size_bound: int) -> ClassicalStructure | None:
     if len(binaries) > 1:
         raise ClassicalSearchError(f"more than one binary letter: {binaries}")
     names = sorted(arities)
+    holds = compile_classical(f).holds
     for n in range(1, size_bound + 1):
         domain = tuple(range(n))
         candidate_sets = [
@@ -423,7 +514,7 @@ def classical_sat(f: Formula, size_bound: int) -> ClassicalStructure | None:
         ]
         for combo in product(*candidate_sets):
             interp = dict(zip(names, combo))
-            if classical_evaluate(domain, interp, {}, f):
+            if holds(domain, interp, ()):
                 return ClassicalStructure(
                     domain=domain,
                     relation=interp[binaries[0]] if binaries else frozenset(),

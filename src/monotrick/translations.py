@@ -11,7 +11,8 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
+from typing import Callable, Iterable, NamedTuple
 
 from .semantics import Equality, Frame, Model, identity_partition
 from .syntax import (
@@ -165,29 +166,37 @@ def kripke_trick(f: Formula, variant: Variant,
     return go(f)
 
 
-def _d2_worlds(m: ClassicalStructure, domain: tuple, names: NamingScheme):
-    """One world per pair (a, b) of the relation: Q1(a), Q2(b)."""
-    for (a, b) in sorted(m.relation, key=lambda p: (str(p[0]), str(p[1]))):
-        yield f"w_{a}_{b}", {names.q1: frozenset([(a,)]),
-                             names.q2: frozenset([(b,)])}
+class Companion(NamedTuple):
+    """How a variant's companion model is built.
+
+    A companion model has a root and one world ``w_a_b`` per kept pair
+    (a, b).  The world's name and facts depend only on the pair and the
+    naming scheme; the structure decides only which pairs get a world.
+    """
+    # Whether the structure's relation must be symmetric and irreflexive.
+    symmetric_irreflexive: bool
+    # domain -> the candidate pairs, in world order.
+    pairs: Callable[[tuple], Iterable[tuple]]
+    # Whether a pair is kept when it is in the relation (else when not).
+    keeps_edges: bool
+    # (pair, names) -> the facts of the pair's world, letter -> tuples.
+    facts: Callable[[tuple, NamingScheme], dict]
 
 
-def _nd1_worlds(m: ClassicalStructure, domain: tuple, names: NamingScheme):
-    """One world per unordered non-edge {a, b}, a = b included: Q(a), Q(b)."""
-    for (a, b) in combinations_with_replacement(domain, 2):
-        if (a, b) not in m.relation:
-            yield f"w_{a}_{b}", {names.q: frozenset({(a,), (b,)})}
-
-
-# variant -> (needs a symmetric irreflexive relation, a generator of the
-# (world, valuation) pairs above the root from (structure, domain, names)).
 COMPANIONS = {
-    Variant.DIAMOND2: (False, _d2_worlds),
-    Variant.NEG_DIAMOND1: (True, _nd1_worlds),
+    # One world per pair (a, b) of the relation: Q1(a), Q2(b).
+    Variant.DIAMOND2: Companion(
+        False, lambda domain: product(domain, repeat=2), True,
+        lambda pair, names: {names.q1: frozenset([pair[:1]]),
+                             names.q2: frozenset([pair[1:]])}),
+    # One world per unordered non-edge {a, b}, a = b included: Q(a), Q(b).
+    Variant.NEG_DIAMOND1: Companion(
+        True, lambda domain: combinations_with_replacement(domain, 2), False,
+        lambda pair, names: {names.q: frozenset([pair[:1], pair[1:]])}),
 }
 
 
-def companion(variant: Variant):
+def companion(variant: Variant) -> Companion:
     """The COMPANIONS entry of variant; a TranslationError for a variant
     without a companion-model construction."""
     if variant not in COMPANIONS:
@@ -196,31 +205,54 @@ def companion(variant: Variant):
     return COMPANIONS[variant]
 
 
+def companion_builder(variant: Variant, names: NamingScheme, domain):
+    """The builder ``m -> (model, root)`` of the companion models of the
+    structures on domain, for a variant of COMPANIONS.
+
+    Each candidate pair's world (pair, name, facts) and the identity
+    partition of the domain are made once, here; a call keeps the pairs
+    its structure selects, so its model has only the worlds it needs.
+    The models of one builder share these facts and the partition, so
+    they are read-only.  The frame is universal with a constant domain; equality is the
+    identity.  At the root nothing is true, so evaluating a translated
+    sentence there mirrors classical truth.
+    """
+    spec = companion(variant)
+    domain = tuple(sorted(domain, key=str))  # pairs in the order of str
+    members = frozenset(domain)
+    table = [(pair, f"w_{pair[0]}_{pair[1]}", spec.facts(pair, names))
+             for pair in spec.pairs(domain)]
+    identity = identity_partition(domain)
+
+    def build(m: ClassicalStructure):
+        if frozenset(m.domain) != members:
+            raise ValueError(f"structure on {m.domain}, builder on {domain}")
+        if spec.symmetric_irreflexive and not (
+                m.is_symmetric() and m.is_irreflexive()):
+            raise TranslationError(
+                "NegDiamond1 requires a symmetric irreflexive relation")
+        relation, keep = m.relation, spec.keeps_edges
+        valuation: dict[str, dict[str, frozenset]] = {"root": {}}
+        for pair, name, facts in table:
+            if (pair in relation) == keep:
+                valuation[name] = facts
+        worlds = tuple(valuation)
+        model = Model(
+            frame=Frame.universal(worlds),
+            domains=dict.fromkeys(worlds, domain),
+            valuation=valuation,
+            equality=Equality("eq3", dict.fromkeys(worlds, identity)),
+            mode="modal",
+            constant_domains=True,
+        )
+        return model, "root"
+    return build
+
+
 def build_companion_model(m: ClassicalStructure, variant: Variant,
                           names: NamingScheme | None = None):
-    """Companion Kripke model for a variant of COMPANIONS.
-
-    Returns (model, root).  The frame is universal with a constant
-    domain; equality is the identity.  At the root nothing is true, so
-    evaluating a translated sentence there mirrors classical truth.
-    """
+    """Companion Kripke model (model, root) of m for a variant of
+    COMPANIONS: companion_builder on m's domain, applied to m."""
     if names is None:
         names = NamingScheme()
-    symmetric_irreflexive, above_root = companion(variant)
-    if symmetric_irreflexive and not (m.is_symmetric() and m.is_irreflexive()):
-        raise TranslationError(
-            "NegDiamond1 requires a symmetric irreflexive relation")
-    domain = tuple(sorted(m.domain, key=str))
-    valuation: dict[str, dict[str, frozenset]] = {"root": {}}
-    valuation.update(above_root(m, domain, names))
-    worlds = tuple(valuation)
-    model = Model(
-        frame=Frame.universal(worlds),
-        domains=dict.fromkeys(worlds, domain),
-        valuation=valuation,
-        equality=Equality("eq3", dict.fromkeys(
-            worlds, identity_partition(domain))),
-        mode="modal",
-        constant_domains=True,
-    )
-    return model, "root"
+    return companion_builder(variant, names, m.domain)(m)

@@ -7,12 +7,12 @@ from monotrick import experiments
 from monotrick.experiments import (
     ExperimentReport, enumerate_structures, trick_experiment,
 )
-from monotrick.search import classical_evaluate
+from monotrick.search import classical_evaluate, compile_classical
 from monotrick.semantics import compile_formula
 from monotrick.syntax import letters, parse, render
 from monotrick.translations import (
     ClassicalStructure, TranslationError, Variant, build_companion_model,
-    fresh_scheme, kripke_trick,
+    companion_builder, fresh_scheme, kripke_trick,
 )
 from tests.conftest import read_corpus
 
@@ -178,29 +178,44 @@ def test_one_structure_per_class_matches_labelled_walk(monkeypatch, corpus,
     count, agreement, disagreements = _labelled_walk(sentences, variant, size)
     assert disagreements and agreement
 
-    met, built = [], []
+    compiled_for, met, builders, built = [], [], [], []
 
-    def oracle(domain, interp, assignment, f):
-        met.append((render(f), tuple(domain), interp["P"]))
-        return classical_evaluate(domain, interp, assignment, f)
+    def oracle(f):
+        compiled_for.append(render(f))
+        compiled = compile_classical(f)
 
-    def builder(s, *args):
-        built.append(s)
-        return build_companion_model(s, *args)
+        def holds(domain, interp, values):
+            met.append((render(f), tuple(domain), interp["P"]))
+            return compiled.holds(domain, interp, values)
+        return compiled._replace(holds=holds)
 
-    monkeypatch.setattr(experiments, "classical_evaluate", oracle)
-    monkeypatch.setattr(experiments, "build_companion_model", builder)
+    def builder(variant, names, domain):
+        builders.append((tuple(domain), names))
+        build = companion_builder(variant, names, domain)
+
+        def spy(s):
+            built.append(s)
+            return build(s)
+        return spy
+
+    monkeypatch.setattr(experiments, "compile_classical", oracle)
+    monkeypatch.setattr(experiments, "companion_builder", builder)
     report = trick_experiment(sentences, variant, size)
     assert report.structure_count == count
     assert report.agreement == agreement
     assert report.disagreements == disagreements
-    # Each sentence meets the least-labelled member of each class, class
-    # by class, and each class's companion is built once: the sentences
-    # share one naming scheme.
+    # Each sentence is compiled once and meets the least-labelled member
+    # of each class, class by class.  The sentences share one naming
+    # scheme: the call makes one builder for each size, and builds each
+    # class's companion once.
     representatives = [s for s in enumerate_structures(
         size, variant is Variant.NEG_DIAMOND1) if _least_in_class(s)]
+    assert compiled_for == [render(parse(text)) for text in sentences]
     assert met == [(render(parse(text)), s.domain, s.relation)
                    for s in representatives for text in sentences]
+    scheme = fresh_scheme(parse(sentences[0]))
+    assert builders == [(tuple(range(n)), scheme)
+                        for n in range(1, size + 1)]
     assert built == representatives
 
 

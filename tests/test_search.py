@@ -1,15 +1,19 @@
+import random
 from itertools import product
 
 import pytest
 
 from monotrick.search import (
-    ClassicalSearchError, FrameClass, classical_sat, decide_valid_over_frame,
-    default_domain_bound, enumerate_frames, enumerate_models,
-    eq_separation_search, frame_matches, frame_properties, parse_frame_class,
-    sat_bounded,
+    ClassicalSearchError, FrameClass, classical_evaluate, classical_sat,
+    decide_valid_over_frame, default_domain_bound, enumerate_frames,
+    enumerate_models, eq_separation_search, frame_matches, frame_properties,
+    parse_frame_class, sat_bounded,
 )
 from monotrick.semantics import Frame, evaluate, validate_model
-from monotrick.syntax import parse
+from monotrick.syntax import (
+    And, Atom, Eq, Exists, Falsum, Forall, Iff, Implies, Not, Or, Verum,
+    free_variables, letters, parse, render,
+)
 from tests.conftest import golden_verdict
 
 
@@ -47,6 +51,136 @@ class TestClassicalSat:
     def test_rejects_modality(self):
         with pytest.raises(ClassicalSearchError):
             classical_sat(parse("<>true"), 2)
+
+
+def naive_classical_evaluate(domain, interp, assignment, f):
+    """Reference: classical truth by walking the tree at every step, with
+    a fresh assignment for each value a quantifier binds."""
+    def ev(g, assignment):
+        if isinstance(g, Atom):
+            return tuple(assignment[x] for x in g.args) in \
+                interp.get(g.letter, frozenset())
+        if isinstance(g, Eq):
+            return assignment[g.left] == assignment[g.right]
+        if isinstance(g, Verum):
+            return True
+        if isinstance(g, Falsum):
+            return False
+        if isinstance(g, Not):
+            return not ev(g.body, assignment)
+        if isinstance(g, And):
+            return ev(g.left, assignment) and ev(g.right, assignment)
+        if isinstance(g, Or):
+            return ev(g.left, assignment) or ev(g.right, assignment)
+        if isinstance(g, Implies):
+            return not ev(g.left, assignment) or ev(g.right, assignment)
+        if isinstance(g, Iff):
+            return ev(g.left, assignment) == ev(g.right, assignment)
+        if isinstance(g, Forall):
+            return all(ev(g.body, {**assignment, g.var: a}) for a in domain)
+        if isinstance(g, Exists):
+            return any(ev(g.body, {**assignment, g.var: a}) for a in domain)
+        raise AssertionError(f"not first-order: {type(g).__name__}")
+    return ev(f, assignment)
+
+
+FO_LETTERS = (("p", 0), ("Q", 1), ("P", 2))
+FO_SEED = 2027
+FO_COUNT = 40
+
+
+def random_first_order(rng, depth):
+    """A random first-order formula over p, Q, P and =, with variables x,
+    y, z free or bound; quantifiers may rebind a variable in scope."""
+    kind = rng.choice(["atom", "atom", "eq", "true", "false"] if depth == 0
+                      else ["atom", "eq", "not", "and", "or", "implies",
+                            "iff", "forall", "exists", "forall", "exists"])
+    if kind == "atom":
+        letter, arity = rng.choice(FO_LETTERS)
+        return Atom(letter, tuple(rng.choice("xyz") for _ in range(arity)))
+    if kind == "eq":
+        return Eq(rng.choice("xyz"), rng.choice("xyz"))
+    if kind in ("true", "false"):
+        return Verum() if kind == "true" else Falsum()
+    if kind in ("forall", "exists"):
+        ctor = Forall if kind == "forall" else Exists
+        return ctor(rng.choice("xyz"), random_first_order(rng, depth - 1))
+    if kind == "not":
+        return Not(random_first_order(rng, depth - 1))
+    ctor = {"and": And, "or": Or, "implies": Implies, "iff": Iff}[kind]
+    return ctor(random_first_order(rng, depth - 1),
+                random_first_order(rng, depth - 1))
+
+
+def _interpretations(used, n):
+    """Every interpretation over range(n) of the letters in used."""
+    names = sorted(used)
+    extensions = [[frozenset(t for i, t in enumerate(tuples) if mask >> i & 1)
+                   for mask in range(1 << len(tuples))]
+                  for tuples in (list(product(range(n), repeat=used[name]))
+                                 for name in names)]
+    for combo in product(*extensions):
+        yield dict(zip(names, combo))
+
+
+FIXED_FIRST_ORDER = (
+    "forall x exists x P(x,x)",
+    "exists x (Q(x) & forall x ~Q(x)) | p",
+    "forall x (P(x,y) -> exists y (P(y,x) & ~(x = y)))",
+    "x = y <-> exists z (P(x,z) & P(z,y))",
+    "exists x exists y (~(x = y) & forall z (z = x | z = y))",
+    "Q(z) & forall z (Q(z) -> P(z,z))",
+    "p -> false",
+)
+
+
+class TestClassicalOracle:
+    def test_matches_naive_evaluation(self):
+        """Every fixed and seeded random formula, on every structure of
+        at most three individuals over its letters.  An open formula
+        takes the assignments of its free variables in turn, one per
+        structure, and each size meets each structure and each
+        assignment.  Where z is not free the assignment still gives it
+        a value, which must not leak into a quantifier that binds z."""
+        rng = random.Random(FO_SEED)
+        formulas = [parse(text) for text in FIXED_FIRST_ORDER]
+        formulas += [random_first_order(rng, 4) for _ in range(FO_COUNT)]
+        covered = set()
+        for f in formulas:
+            free = sorted(free_variables(f))
+            used = letters(f)
+            for n in range(1, 4):
+                domain = tuple(range(n))
+                points = [{"z": n - 1, **dict(zip(free, values))}
+                          for values in product(domain, repeat=len(free))]
+                interps = list(_interpretations(used, n))
+                for i in range(max(len(interps), len(points))):
+                    interp = interps[i % len(interps)]
+                    assignment = points[i % len(points)]
+                    assert classical_evaluate(domain, interp, assignment, f) \
+                        == naive_classical_evaluate(domain, interp,
+                                                    assignment, f), \
+                        (render(f), interp, assignment)
+            covered.update(used.values())
+            covered.add("open" if free else "closed")
+        assert covered == {0, 1, 2, "open", "closed"}
+
+    def test_unbound_free_variable_is_named(self):
+        message = r"^unassigned free variables: \['x', 'y'\]$"
+        for text in ("Q(x) & P(x,y)", "true | P(y,x)", "x = y | true"):
+            with pytest.raises(ClassicalSearchError, match=message):
+                classical_evaluate((0, 1), {}, {}, parse(text))
+        with pytest.raises(ClassicalSearchError,
+                           match=r"^unassigned free variables: \['y'\]$"):
+            classical_evaluate((0, 1), {}, {"x": 0}, parse("P(x,y)"))
+
+    def test_modality_is_rejected_before_evaluation(self):
+        for text, node in (("true | <>q", "Diamond"),
+                           ("false & []q", "Box"),
+                           ("exists x (Q(x) | <>Q(x))", "Diamond")):
+            with pytest.raises(ClassicalSearchError,
+                               match=f"^modality in classical formula: {node}$"):
+                classical_evaluate((0,), {}, {}, parse(text))
 
 
 class TestFrameProperties:
