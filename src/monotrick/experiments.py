@@ -20,12 +20,12 @@ about 0.25 s to tabulate (Python 3.11, one core of a 2-core host).
 A companion model depends on the class, the variant and the naming
 scheme, never on the sentence, and its worlds depend only on the pairs
 of the domain: ``trick_experiment`` compiles each sentence once (its
-classical truth and its translation) and makes one companion builder
-(``translations.companion_builder``) per domain size and scheme.  It
-goes class by class and builds each (class, scheme) companion once per
-call, for all the sentences of the corpus, and drops it before the next
-class.  Nothing is kept across calls, so a call holds one companion per
-naming scheme at a time.
+classical truth and its translation) and makes the table of pair
+worlds (``translations.companion_table``) once per domain size and
+scheme.  It goes class by class and builds each (class, scheme)
+companion once per call from its table, for all the sentences of the
+corpus, and drops it before the next class.  Nothing is kept across
+calls, so a call holds one companion per naming scheme at a time.
 """
 
 from __future__ import annotations
@@ -39,8 +39,8 @@ from .search import _least_labelled, _renamed_masks, compile_classical
 from .semantics import compile_formula
 from .syntax import free_variables, letters, parse, render
 from .translations import (
-    ClassicalStructure, TranslationError, Variant, companion,
-    companion_builder, fresh_scheme, kripke_trick,
+    ClassicalStructure, TranslationError, Variant, build_companion_model,
+    companion, companion_table, fresh_scheme, kripke_trick,
 )
 
 # A structure on the individuals 0..n-1 is numbered within its size by
@@ -155,14 +155,16 @@ def trick_experiment(corpus, variant: Variant, size_bound: int) -> ExperimentRep
     structure_count, classes = _classes(size_bound, symmetric)
     representatives = [_structure(n, mask) for _, n, mask, _ in classes]
     schemes = dict.fromkeys(scheme for _, scheme, *_ in formulas)
-    builders = {(n, scheme): companion_builder(variant, scheme, range(n))
-                for n in range(1, size_bound + 1) for scheme in schemes}
+    tables = {(n, scheme): companion_table(variant, scheme, range(n))
+              for n in range(1, size_bound + 1) for scheme in schemes}
     agreement = 0
     wrong = [[] for _ in formulas]  # per sentence, its disagreements
     # Class-major: each (class, scheme) companion is built once, for all
     # the sentences.
     for (idx, n, mask, orbit), s in zip(classes, representatives):
-        models = {scheme: builders[n, scheme](s) for scheme in schemes}
+        models = {scheme: build_companion_model(s, variant, scheme,
+                                                tables[n, scheme])
+                  for scheme in schemes}
         for (f, scheme, classical_holds, modal_holds, binary), out in \
                 zip(formulas, wrong):
             interp = {binary: s.relation} if binary else {}

@@ -205,54 +205,58 @@ def companion(variant: Variant) -> Companion:
     return COMPANIONS[variant]
 
 
-def companion_builder(variant: Variant, names: NamingScheme, domain):
-    """The builder ``m -> (model, root)`` of the companion models of the
-    structures on domain, for a variant of COMPANIONS.
+class CompanionTable(NamedTuple):
+    """The parts of the companion models on one domain that do not
+    depend on the structure (companion_table)."""
+    domain: tuple  # sorted by str, the order of the pairs
+    identity: tuple  # the identity partition of domain
+    worlds: tuple  # (pair, world name, facts) per candidate pair, in order
 
-    Each candidate pair's world (pair, name, facts) and the identity
-    partition of the domain are made once, here; a call keeps the pairs
-    its structure selects, so its model has only the worlds it needs.
-    The models of one builder share these facts and the partition, so
-    they are read-only.  The frame is universal with a constant domain; equality is the
-    identity.  At the root nothing is true, so evaluating a translated
-    sentence there mirrors classical truth.
-    """
+
+def companion_table(variant: Variant, names: NamingScheme,
+                    domain) -> CompanionTable:
+    """The candidate pair worlds of a variant of COMPANIONS on domain and
+    its identity partition, made once for every structure on domain."""
     spec = companion(variant)
-    domain = tuple(sorted(domain, key=str))  # pairs in the order of str
-    members = frozenset(domain)
-    table = [(pair, f"w_{pair[0]}_{pair[1]}", spec.facts(pair, names))
-             for pair in spec.pairs(domain)]
-    identity = identity_partition(domain)
-
-    def build(m: ClassicalStructure):
-        if frozenset(m.domain) != members:
-            raise ValueError(f"structure on {m.domain}, builder on {domain}")
-        if spec.symmetric_irreflexive and not (
-                m.is_symmetric() and m.is_irreflexive()):
-            raise TranslationError(
-                "NegDiamond1 requires a symmetric irreflexive relation")
-        relation, keep = m.relation, spec.keeps_edges
-        valuation: dict[str, dict[str, frozenset]] = {"root": {}}
-        for pair, name, facts in table:
-            if (pair in relation) == keep:
-                valuation[name] = facts
-        worlds = tuple(valuation)
-        model = Model(
-            frame=Frame.universal(worlds),
-            domains=dict.fromkeys(worlds, domain),
-            valuation=valuation,
-            equality=Equality("eq3", dict.fromkeys(worlds, identity)),
-            mode="modal",
-            constant_domains=True,
-        )
-        return model, "root"
-    return build
+    domain = tuple(sorted(domain, key=str))
+    return CompanionTable(
+        domain, identity_partition(domain),
+        tuple((pair, f"w_{pair[0]}_{pair[1]}", spec.facts(pair, names))
+              for pair in spec.pairs(domain)))
 
 
 def build_companion_model(m: ClassicalStructure, variant: Variant,
-                          names: NamingScheme | None = None):
-    """Companion Kripke model (model, root) of m for a variant of
-    COMPANIONS: companion_builder on m's domain, applied to m."""
-    if names is None:
-        names = NamingScheme()
-    return companion_builder(variant, names, m.domain)(m)
+                          names: NamingScheme | None = None,
+                          table: CompanionTable | None = None):
+    """Companion Kripke model for a variant of COMPANIONS.
+
+    Returns (model, root).  The frame is universal with a constant
+    domain; equality is the identity.  At the root nothing is true, so
+    evaluating a translated sentence there mirrors classical truth.  The
+    model has a world for each pair of table that m keeps; table is
+    companion_table(variant, names, m.domain), made here when None.  The
+    models built from one table share its facts and partition, so they
+    are read-only.
+    """
+    spec = companion(variant)
+    if spec.symmetric_irreflexive and not (
+            m.is_symmetric() and m.is_irreflexive()):
+        raise TranslationError(
+            "NegDiamond1 requires a symmetric irreflexive relation")
+    if table is None:
+        table = companion_table(variant, names or NamingScheme(), m.domain)
+    relation, keep = m.relation, spec.keeps_edges
+    valuation: dict[str, dict[str, frozenset]] = {"root": {}}
+    for pair, name, facts in table.worlds:
+        if (pair in relation) == keep:
+            valuation[name] = facts
+    worlds = tuple(valuation)
+    model = Model(
+        frame=Frame.universal(worlds),
+        domains=dict.fromkeys(worlds, table.domain),
+        valuation=valuation,
+        equality=Equality("eq3", dict.fromkeys(worlds, table.identity)),
+        mode="modal",
+        constant_domains=True,
+    )
+    return model, "root"

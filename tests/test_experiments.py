@@ -12,7 +12,7 @@ from monotrick.semantics import compile_formula
 from monotrick.syntax import letters, parse, render
 from monotrick.translations import (
     ClassicalStructure, TranslationError, Variant, build_companion_model,
-    companion_builder, fresh_scheme, kripke_trick,
+    companion_table, fresh_scheme, kripke_trick,
 )
 from tests.conftest import read_corpus
 
@@ -178,7 +178,7 @@ def test_one_structure_per_class_matches_labelled_walk(monkeypatch, corpus,
     count, agreement, disagreements = _labelled_walk(sentences, variant, size)
     assert disagreements and agreement
 
-    compiled_for, met, builders, built = [], [], [], []
+    compiled_for, met, tables, built = [], [], [], []
 
     def oracle(f):
         compiled_for.append(render(f))
@@ -189,34 +189,37 @@ def test_one_structure_per_class_matches_labelled_walk(monkeypatch, corpus,
             return compiled.holds(domain, interp, values)
         return compiled._replace(holds=holds)
 
-    def builder(variant, names, domain):
-        builders.append((tuple(domain), names))
-        build = companion_builder(variant, names, domain)
+    def table(variant, names, domain):
+        made = companion_table(variant, names, domain)
+        tables.append((made, names))
+        return made
 
-        def spy(s):
-            built.append(s)
-            return build(s)
-        return spy
+    def builder(s, variant, names, table):
+        built.append((s, table, names))
+        return build_companion_model(s, variant, names, table)
 
     monkeypatch.setattr(experiments, "compile_classical", oracle)
-    monkeypatch.setattr(experiments, "companion_builder", builder)
+    monkeypatch.setattr(experiments, "companion_table", table)
+    monkeypatch.setattr(experiments, "build_companion_model", builder)
     report = trick_experiment(sentences, variant, size)
     assert report.structure_count == count
     assert report.agreement == agreement
     assert report.disagreements == disagreements
     # Each sentence is compiled once and meets the least-labelled member
     # of each class, class by class.  The sentences share one naming
-    # scheme: the call makes one builder for each size, and builds each
-    # class's companion once.
+    # scheme: the call makes one table of pair worlds for each size, and
+    # builds each class's companion once, from the table of its size.
     representatives = [s for s in enumerate_structures(
         size, variant is Variant.NEG_DIAMOND1) if _least_in_class(s)]
     assert compiled_for == [render(parse(text)) for text in sentences]
     assert met == [(render(parse(text)), s.domain, s.relation)
                    for s in representatives for text in sentences]
     scheme = fresh_scheme(parse(sentences[0]))
-    assert builders == [(tuple(range(n)), scheme)
-                        for n in range(1, size + 1)]
-    assert built == representatives
+    assert [(t.domain, names) for t, names in tables] == \
+        [(tuple(range(n)), scheme) for n in range(1, size + 1)]
+    assert [(s, t.domain, names) for s, t, names in built] == \
+        [(s, s.domain, scheme) for s in representatives]
+    assert all(t is tables[len(s.domain) - 1][0] for s, t, _ in built)
 
 
 def test_experiment_matches_fresh_companions(monkeypatch):

@@ -4,11 +4,11 @@ import pytest
 
 from monotrick.experiments import enumerate_structures
 from monotrick.search import classical_evaluate
-from monotrick.semantics import evaluate, validate_model
+from monotrick.semantics import evaluate, model_to_dict, validate_model
 from monotrick.syntax import classify, parse, render
 from monotrick.translations import (
     ClassicalStructure, NamingScheme, TranslationError, Variant,
-    build_companion_model, companion_builder, fresh_letter, fresh_scheme,
+    build_companion_model, companion_table, fresh_letter, fresh_scheme,
     kripke_trick, positivize,
 )
 
@@ -130,16 +130,18 @@ class TestCompanionModel:
                 ClassicalStructure((0, 1), frozenset({(0, 1)})),
                 Variant.NEG_DIAMOND1)
 
-    def test_builder_serves_the_structures_on_its_domain(self):
-        build = companion_builder(Variant.DIAMOND2, NamingScheme(), (1, 0))
+    def test_one_table_serves_the_structures_on_its_domain(self):
+        table = companion_table(Variant.DIAMOND2, NamingScheme(), (1, 0))
         for rel, worlds in ((set(), ("root",)),
                             ({(1, 0)}, ("root", "w_1_0")),
                             ({(0, 1), (1, 1)}, ("root", "w_0_1", "w_1_1"))):
-            model, root = build(ClassicalStructure((0, 1), frozenset(rel)))
+            s = ClassicalStructure((0, 1), frozenset(rel))
+            model, root = build_companion_model(s, Variant.DIAMOND2,
+                                                table=table)
             assert model.frame.worlds == worlds
             assert validate_model(model) == []
-        with pytest.raises(ValueError, match=r"builder on \(0, 1\)$"):
-            build(ClassicalStructure((0, 1, 2), frozenset()))
+            assert model_to_dict(model) == model_to_dict(
+                build_companion_model(s, Variant.DIAMOND2)[0])
 
     def test_no_companion_for_positive_variants(self):
         s = ClassicalStructure((0,), frozenset())
