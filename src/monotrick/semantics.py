@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import product
 from operator import itemgetter
 from typing import Callable, NamedTuple
@@ -44,53 +44,85 @@ def _ind_key(a):
 _NO_BLOCKS: dict = {}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Frame:
     worlds: tuple[str, ...]
     access: frozenset[tuple[str, str]]
     # world -> successors in world order; edges leaving the world set are
     # not in it (validate_model reports them).
-    succ: dict[str, tuple[str, ...]] = field(init=False, repr=False,
-                                             compare=False)
+    succ: dict[str, tuple[str, ...]] = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "succ", {
             w: tuple(v for v in self.worlds if (w, v) in self.access)
             for w in self.worlds})
 
+    # Written out so that a universal frame, of a subclass, compares,
+    # hashes and prints as the Frame of its edges.
+    def __eq__(self, other):
+        if not isinstance(other, Frame):
+            return NotImplemented
+        return self.worlds == other.worlds and self.access == other.access
+
+    def __hash__(self):
+        return hash((self.worlds, self.access))
+
+    def __repr__(self):
+        return f"Frame(worlds={self.worlds!r}, access={self.access!r})"
+
     @classmethod
     def universal(cls, worlds: tuple[str, ...]) -> Frame:
         """The frame on worlds in which every world sees every world,
         itself included.  Each world's successors are all the worlds, so
-        succ is filled without testing the pairs one by one."""
-        frame = object.__new__(cls)
-        for name, value in (("worlds", worlds),
-                            ("access", frozenset(product(worlds, repeat=2))),
-                            ("succ", dict.fromkeys(worlds, worlds))):
-            object.__setattr__(frame, name, value)
+        succ is filled without testing the pairs one by one; the n^2
+        edges of access are made on its first read."""
+        frame = object.__new__(_UniversalFrame)
+        object.__setattr__(frame, "worlds", worlds)
+        object.__setattr__(frame, "succ", dict.fromkeys(worlds, worlds))
         return frame
+
+
+class _UniversalFrame(Frame):
+    """A frame of Frame.universal.  The evaluator walks succ only, so a
+    companion model never needs its edge set; access is a plain instance
+    attribute once read, and worlds and succ always are."""
+
+    @cached_property
+    def access(self) -> frozenset[tuple[str, str]]:
+        return frozenset(product(self.worlds, repeat=2))
 
 
 @dataclass(frozen=True)
 class Equality:
     principle: str
     classes: dict[str, tuple[frozenset, ...]]  # world -> partition of D(w)
-    # world -> individual -> its block, built once per partition object;
-    # worlds that share a partition, and models that share this Equality,
-    # share the map.
-    blocks: dict[str, dict] = field(init=False, repr=False, compare=False)
+    # world -> individual -> its block, None until the first related()
+    # call builds it: only = atoms read it.  Worlds that share a partition,
+    # and models that share this Equality, share the map.
+    blocks: dict[str, dict] | None = field(init=False, repr=False,
+                                           compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "blocks", None)
+
+    def related(self, w: str, a, b) -> bool:
+        if a == b:
+            return True
+        blocks = self.blocks
+        if blocks is None:
+            blocks = self._block_maps()
+        blocks = blocks.get(w, _NO_BLOCKS)
+        return a in blocks and blocks.get(a) is blocks.get(b)
+
+    def _block_maps(self) -> dict[str, dict]:
+        """Build and keep blocks, one map per partition object."""
         maps = {}  # id of a partition of self.classes -> its block map
         for part in self.classes.values():
             if id(part) not in maps:
                 maps[id(part)] = block_map(part)
-        object.__setattr__(self, "blocks", {
-            w: maps[id(part)] for w, part in self.classes.items()})
-
-    def related(self, w: str, a, b) -> bool:
-        blocks = self.blocks.get(w, _NO_BLOCKS)
-        return a == b or (a in blocks and blocks.get(a) is blocks.get(b))
+        blocks = {w: maps[id(part)] for w, part in self.classes.items()}
+        object.__setattr__(self, "blocks", blocks)
+        return blocks
 
 
 @dataclass(frozen=True)

@@ -13,16 +13,17 @@ trusted revision with
 
 import json
 import sys
+from itertools import product
 
 import pytest
 
-from monotrick import experiments
-from monotrick.semantics import model_to_dict, validate_model
+from monotrick import experiments, semantics
+from monotrick.semantics import Frame, model_to_dict, validate_model
 from monotrick.syntax import parse
 from monotrick.translations import (
     NamingScheme, Variant, build_companion_model, fresh_scheme,
 )
-from tests.conftest import DATA
+from tests.conftest import DATA, read_corpus
 
 GOLDEN_COMPANIONS_PATH = DATA / "golden_companions.json"
 Q1_SCHEME = fresh_scheme(parse("exists x exists y Q1(x,y)"))
@@ -66,6 +67,52 @@ def test_golden_companions(golden, key):
         assert validate_model(model) == []
         # Key order too: the CLI prints these dicts as they are.
         assert json.dumps(model_to_dict(model)) == json.dumps(recorded)
+
+
+@pytest.mark.parametrize("key", ["d2-size3", "nd1-size4"])
+def test_companion_frames_are_frames_of_all_pairs(key):
+    """Each representative's companion frame compares, hashes and prints
+    as the plain Frame of all pairs of its worlds, and has its
+    successors."""
+    for model, _ in _companions(key):
+        frame = model.frame
+        plain = Frame(frame.worlds, frozenset(product(frame.worlds, repeat=2)))
+        assert frame == plain and plain == frame
+        assert hash(frame) == hash(plain)
+        assert repr(frame) == repr(plain)
+        assert frame.succ == plain.succ
+
+
+@pytest.mark.parametrize("corpus, key", [("classical_corpus.txt", "d2-size3"),
+                                         ("graph_corpus.txt", "nd1-size4")])
+def test_experiment_builds_no_edge_set_and_no_block_map(monkeypatch, golden,
+                                                        corpus, key):
+    """trick_experiment reads a companion's successors, domains and
+    valuation only: over a whole corpus it makes no block map and no
+    companion's edge set.  model_to_dict then makes the edge set, and
+    prints the golden companion."""
+    variant, size, _ = CASES[key]
+    built, block_maps = [], []
+    build, block_map = experiments.build_companion_model, semantics.block_map
+
+    def recording_build(*args):
+        model, root = build(*args)
+        built.append(model)
+        return model, root
+
+    def counting_block_map(partition):
+        block_maps.append(partition)
+        return block_map(partition)
+    monkeypatch.setattr(experiments, "build_companion_model", recording_build)
+    monkeypatch.setattr(semantics, "block_map", counting_block_map)
+    report = experiments.trick_experiment(read_corpus(corpus), variant, size)
+    assert report.disagreements == [] and report.skipped == []
+    assert len(built) == len(golden[key])
+    assert len(block_maps) == 0
+    assert sum("access" in vars(model.frame) for model in built) == 0
+    for model, recorded in zip(built, golden[key]):
+        assert json.dumps(model_to_dict(model)) == json.dumps(recorded)
+    assert sum("access" in vars(model.frame) for model in built) == len(built)
 
 
 if __name__ == "__main__":

@@ -7,7 +7,7 @@ import pytest
 
 from monotrick.search import FrameClass, enumerate_frames, enumerate_models
 from monotrick.semantics import (
-    MODES, PRINCIPLES, Equality, EvaluationError, Frame, Model,
+    MODES, PRINCIPLES, Equality, EvaluationError, Frame, Model, block_map,
     check_letter_arities, compile_formula, evaluate, frame_from_dict, identity_partition, model_from_dict, model_to_dict,
     valid_in_model, validate_model,
 )
@@ -378,7 +378,7 @@ def test_evaluate_over_points_hits_the_compile_cache():
 def test_universal_frame_is_the_frame_of_all_pairs(worlds):
     universal = Frame.universal(worlds)
     plain = Frame(worlds, frozenset(product(worlds, repeat=2)))
-    assert universal == plain
+    assert universal == plain and hash(universal) == hash(plain)
     assert universal.succ == plain.succ
     assert repr(universal) == repr(plain)
 
@@ -386,10 +386,69 @@ def test_universal_frame_is_the_frame_of_all_pairs(worlds):
 def test_worlds_that_share_a_partition_share_its_block_map():
     ab, a_b = (frozenset("ab"),), identity_partition(("a", "b"))
     eq = Equality("eq1", {"w": ab, "v": a_b, "u": a_b})
-    assert eq.blocks["v"] is eq.blocks["u"]
-    assert eq.blocks["w"] is not eq.blocks["v"]
     assert eq.related("w", "a", "b")
     assert not eq.related("v", "a", "b") and not eq.related("u", "a", "b")
+    # The maps are built by the first related() call.
+    assert eq.blocks["v"] is eq.blocks["u"]
+    assert eq.blocks["w"] is not eq.blocks["v"]
+
+
+def _random_partition(rng, domain):
+    blocks = {}
+    for a in domain:
+        blocks.setdefault(rng.randrange(len(domain)), set()).add(a)
+    return tuple(frozenset(block) for block in blocks.values())
+
+
+def test_lazy_block_maps_agree_with_eager_ones():
+    """related(), whose block maps are built by its first call, answers
+    as a block_map built for each world up front: on worlds that share a
+    partition object, on worlds missing from classes (where only a == b
+    holds) and for individuals outside the partition."""
+    rng = random.Random(23)
+    individuals = ("a", "b", "c", "d")
+    worlds = ("w0", "w1", "w2", "w3", "w4")
+    for _ in range(200):
+        pool = [_random_partition(rng, individuals[:rng.randint(1, 4)])
+                for _ in range(2)]
+        classes = {w: rng.choice(pool) for w in worlds if rng.random() < 0.8}
+        eq = Equality(rng.choice(PRINCIPLES), classes)
+        assert eq.blocks is None
+        eager = {w: block_map(part) for w, part in classes.items()}
+        for w in worlds:
+            maps = eager.get(w, {})
+            for a, b in product(individuals + ("z",), repeat=2):
+                assert eq.related(w, a, b) == \
+                    (a == b or (a in maps and b in maps[a])), (classes, w, a, b)
+        assert eq.blocks == eager
+        for w, v in product(classes, repeat=2):
+            assert (eq.blocks[w] is eq.blocks[v]) == \
+                (classes[w] is classes[v])
+
+
+def test_evaluated_classes_define_no_attribute_hooks():
+    """The evaluator reads m.frame.succ, m.domains, m.valuation and
+    m.equality at every step.  A __getattr__ or __getattribute__ on one of
+    these classes, or a class-level descriptor for an attribute the
+    evaluator reads, keeps CPython 3.11 from specialising those attribute
+    loads: with a __getattr__ on Frame, dis.dis(..., adaptive=True) shows
+    the .succ load of a <> closure left LOAD_ATTR_ADAPTIVE.  A __getattr__
+    on Frame that made a universal frame's edge set on first read left
+    perfbench's decide-frame, which builds no universal frame, slower:
+    +3.3% wall_s over 4 alternating pairs of 42 s runs, and about +7% in
+    an earlier prototype.  A lazy attribute that the evaluator does not
+    read goes in a subclass as a cached_property, as access does for
+    Frame.universal."""
+    universal = type(Frame.universal(("w",)))
+    read = ("worlds", "succ", "valuation", "domains", "frame", "equality",
+            "blocks")
+    for cls in (Frame, universal, Equality, Model):
+        for base in cls.__mro__[:-1]:
+            assert "__getattr__" not in vars(base), base
+            assert "__getattribute__" not in vars(base), base
+            for name in read:
+                assert not hasattr(type(vars(base).get(name)), "__get__"), \
+                    (base, name)
 
 
 def test_modal_dualities_pointwise():
