@@ -9,8 +9,10 @@ capped and uncapped ``decide`` lines with ``=`` on frames that no world
 generates or that are not connected (``FRAMES_RECORD``), of
 ``parse`` and ``classify`` lines that read their formula from a file
 (``FORMULAS_RECORD``), of ``experiment`` lines over the 3,160
-classes of ``d2`` at size 4 (``EXPERIMENT_RECORD``), and of
-``experiment`` lines over whole corpora (``CORPORA_RECORD``).
+classes of ``d2`` at size 4 (``EXPERIMENT_RECORD``), of
+``experiment`` lines over whole corpora (``CORPORA_RECORD``), and of
+``decide`` and ``sat`` lines on ``[]`` and ``<>`` over one atom or the
+``&`` of two, unary and binary (``LITERALS_RECORD``).
 
     PYTHONPATH=src python -m tests.batch_outputs --write DIR
     PYTHONPATH=src python -m tests.batch_outputs --check DIR
@@ -50,6 +52,7 @@ FRAMES_RECORD = "frames"
 FORMULAS_RECORD = "formulas"
 EXPERIMENT_RECORD = "experiment-d2-size4"
 CORPORA_RECORD = "experiment-corpora"
+LITERALS_RECORD = "modal-literals"
 DATA = pathlib.Path(__file__).resolve().parent / "data"
 WALL_TIME = re.compile(r'"wall_time": [-+0-9.eE]+|skipped; [0-9.]+s$',
                        re.MULTILINE)
@@ -394,6 +397,47 @@ def corpora_outputs() -> list:
     return _played("corpora", corpora_lines(), CORPORA_FILES)
 
 
+# Formulas whose boxes and diamonds range over one atom or the & of two,
+# as the trick's translations do: unary and binary letters, a variable
+# twice, under ~, quantifiers and a second diamond; valid on some frames
+# and not on others.
+LITERAL_FORMULAS = ("<>(Q1(x) & Q2(y)) -> <>Q1(x)",
+                    "[](Q(x) & Q(y)) -> []Q(y)",
+                    "<>(Q(x) & Q(x)) | []~Q(x)",
+                    "<>P(x,y) -> <>P(x,x)",
+                    "[](P(x,y) & P(y,x)) -> []P(y,x)",
+                    "~<>(Q(x) & P(x,y)) | <>Q(x)",
+                    "forall x exists y <>(Q1(x) & Q2(y))",
+                    "<><>(P(x,x) & Q(y)) -> <>[]P(x,x)")
+
+# Sentences for sat: the first two are satisfiable, the last two are not
+# (the diamond needs a successor that the box and the negated diamond
+# rule out).
+LITERAL_SENTENCES = ("exists x exists y (<>(Q1(x) & Q2(y)) & ~<>(Q1(y) & Q2(x)))",
+                     "exists x (<>P(x,x) & []~P(x,x) | [](Q(x) & P(x,x)))",
+                     "exists x exists y (<>(Q(x) & Q(y)) & []~Q(x))",
+                     "exists x exists y (<>P(x,y) & []P(y,x) & ~<>P(y,x))")
+
+
+def literal_lines() -> list:
+    """``decide --json --domain 2`` of each literal formula on each sparse
+    frame, with expanding and constant domains, under eq1 and eq3; then
+    ``sat --json --worlds 2 --domain 2`` of each literal sentence, with no
+    class and in reflexive frames."""
+    return [["decide", "--json", "--frame", frame, "--domain", "2",
+             *constant, "--eq", eq, text]
+            for frame in SPARSE_FRAMES for text in LITERAL_FORMULAS
+            for constant in ([], ["--constant"]) for eq in ("eq1", "eq3")] + [
+        ["sat", "--json", "--worlds", "2", "--domain", "2", "--class", cls,
+         text] for text in LITERAL_SENTENCES for cls in ("", "reflexive")]
+
+
+def literal_outputs() -> list:
+    """["literals", argv, exit code, stdout, stderr] of each line of
+    ``literal_lines()``."""
+    return _played("literals", literal_lines(), SPARSE_FRAMES)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m tests.batch_outputs", description=__doc__.split("\n")[0])
@@ -412,7 +456,8 @@ def main(argv=None) -> int:
                 (VIEWS_RECORD, view_outputs), (FRAMES_RECORD, frame_outputs),
                 (FORMULAS_RECORD, formula_outputs),
                 (EXPERIMENT_RECORD, experiment_outputs),
-                (CORPORA_RECORD, corpora_outputs)]
+                (CORPORA_RECORD, corpora_outputs),
+                (LITERALS_RECORD, literal_outputs)]
     differing = total = 0
     for stem, outputs_of in records:
         path = directory / f"{stem}.json"
