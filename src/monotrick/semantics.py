@@ -376,7 +376,10 @@ def _goedel(f: Formula) -> Formula:
 def _compile(f: Formula, slots: dict, used: list):
     """Closure ev(m, w, env) for the modal formula f; slots maps each
     variable in scope to its index in env, and used[0] counts the slots
-    handed out so far."""
+    handed out so far.  Each node gets one closure that calls its
+    children's, except a [] or <> over an atom with arguments or the & of
+    two: one closure walks the successors and reads the atoms itself
+    (_compile_modal_atoms)."""
     if isinstance(f, Atom):
         letter = f.letter
         if not f.args:
@@ -424,6 +427,10 @@ def _compile(f: Formula, slots: dict, used: list):
                         return False
                 return True
         return ev
+    if isinstance(f, (Box, Diamond)):
+        ev = _compile_modal_atoms(f, slots)
+        if ev is not None:
+            return ev
     if isinstance(f, (Not, Box, Diamond)):
         body = _compile(f.body, slots, used)
         if isinstance(f, Not):
@@ -458,6 +465,67 @@ def _compile(f: Formula, slots: dict, used: list):
     else:
         def ev(m, w, env):
             return left(m, w, env) == right(m, w, env)
+    return ev
+
+
+def _compile_modal_atoms(f: Box | Diamond, slots: dict):
+    """The closure ev of _compile for a [] or <> whose body is an atom
+    with arguments or the & of two, the shape of the trick's image
+    <>(Q1(x) & Q2(y)); None for any other body.  ev makes each atom's
+    tuple once, before it walks the successors, and reads each
+    successor's facts once, where the general closures make three calls
+    per successor and a tuple per atom and successor."""
+    body = f.body
+    atoms = (body.left, body.right) if isinstance(body, And) else (body,)
+    if not all(isinstance(a, Atom) and a.args for a in atoms):
+        return None
+    # (letter, slot of a unary atom's argument or None, getter of a longer
+    # atom's tuple or None) per atom
+    (la, ia, ga), *rest = [
+        (a.letter, slots[a.args[0]], None) if len(a.args) == 1
+        else (a.letter, None, itemgetter(*(slots[x] for x in a.args)))
+        for a in atoms]
+    if not rest:
+        if isinstance(f, Diamond):
+            def ev(m, w, env):
+                ka = (env[ia],) if ga is None else ga(env)
+                facts = m.valuation
+                for v in m.frame.succ[w]:
+                    if ka in facts.get(v, _NO_FACTS).get(la, _NO_TUPLES):
+                        return True
+                return False
+        else:
+            def ev(m, w, env):
+                ka = (env[ia],) if ga is None else ga(env)
+                facts = m.valuation
+                for v in m.frame.succ[w]:
+                    if ka not in facts.get(v, _NO_FACTS).get(la, _NO_TUPLES):
+                        return False
+                return True
+        return ev
+    (lb, ib, gb), = rest
+    if isinstance(f, Diamond):
+        def ev(m, w, env):
+            ka = (env[ia],) if ga is None else ga(env)
+            kb = (env[ib],) if gb is None else gb(env)
+            facts = m.valuation
+            for v in m.frame.succ[w]:
+                at_v = facts.get(v, _NO_FACTS)
+                if ka in at_v.get(la, _NO_TUPLES) and \
+                        kb in at_v.get(lb, _NO_TUPLES):
+                    return True
+            return False
+    else:
+        def ev(m, w, env):
+            ka = (env[ia],) if ga is None else ga(env)
+            kb = (env[ib],) if gb is None else gb(env)
+            facts = m.valuation
+            for v in m.frame.succ[w]:
+                at_v = facts.get(v, _NO_FACTS)
+                if ka not in at_v.get(la, _NO_TUPLES) or \
+                        kb not in at_v.get(lb, _NO_TUPLES):
+                    return False
+            return True
     return ev
 
 
