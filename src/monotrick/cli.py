@@ -142,6 +142,13 @@ def _max_steps(args) -> int | None:
                          f"{env!r}") from None
 
 
+def _bound(option: str, value: int | None) -> int | None:
+    """value, given as option, if it is None or at least 1."""
+    if value is not None and value < 1:
+        raise UsageError(f"{option} must be >= 1, got {value}")
+    return value
+
+
 def _cmd_parse(args) -> int:
     f = _read_formula(args.formula)
     _emit(syntax.to_dict(f), render(f), args.json)
@@ -213,12 +220,12 @@ def _cmd_sat(args) -> int:
     verdict = sat_bounded(
         _read_formula(args.formula),
         parse_frame_class(args.frame_class),
-        world_bound=args.worlds,
-        domain_bound=args.domain,
+        max_steps=_max_steps(args),
+        world_bound=_bound("--worlds", args.worlds),
+        domain_bound=_bound("--domain", args.domain),
         mode=args.mode,
         eq_principle=args.eq,
         constant_domains=args.constant,
-        max_steps=_max_steps(args),
     )
     return _emit_verdict(verdict, args.json)
 
@@ -227,11 +234,11 @@ def _cmd_decide(args) -> int:
     verdict = decide_valid_over_frame(
         _load(load_frame, "--frame", args.frame),
         _read_formula(args.formula),
-        domain_bound=args.domain,
+        max_steps=_max_steps(args),
+        domain_bound=_bound("--domain", args.domain),
         mode=args.mode,
         eq_principle=args.eq,
         constant_domains=args.constant,
-        max_steps=_max_steps(args),
     )
     return _emit_verdict(verdict, args.json)
 
@@ -245,7 +252,7 @@ def _cmd_frame_props(args) -> int:
 
 def _cmd_experiment(args) -> int:
     report = trick_experiment(_read_corpus(args.corpus), Variant(args.variant),
-                              args.size)
+                              _bound("--size", args.size))
     human = (f"variant {report.variant}: {report.agreement} agreements over "
              f"{report.corpus_size} formulas x {report.structure_count} "
              f"structures; {len(report.disagreements)} disagreements; "
@@ -255,8 +262,10 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_separate(args) -> int:
-    report = search.eq_separation_search(args.worlds, args.domain,
-                                         max_steps=_max_steps(args))
+    max_steps = _max_steps(args)
+    report = search.eq_separation_search(_bound("--worlds", args.worlds),
+                                         _bound("--domain", args.domain),
+                                         max_steps=max_steps)
     d = report.to_dict()
     human = "\n".join(f"{key}: " + (
         "not found within bounds" if isinstance(d[key], str)
