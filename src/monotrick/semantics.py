@@ -474,58 +474,32 @@ def _compile_modal_atoms(f: Box | Diamond, slots: dict):
     <>(Q1(x) & Q2(y)); None for any other body.  ev makes each atom's
     tuple once, before it walks the successors, and reads each
     successor's facts once, where the general closures make three calls
-    per successor and a tuple per atom and successor."""
+    per successor and a tuple per atom and successor.  A lone atom A is
+    read as A & A."""
     body = f.body
-    atoms = (body.left, body.right) if isinstance(body, And) else (body,)
+    atoms = (body.left, body.right) if isinstance(body, And) else (body, body)
     if not all(isinstance(a, Atom) and a.args for a in atoms):
         return None
     # (letter, slot of a unary atom's argument or None, getter of a longer
     # atom's tuple or None) per atom
-    (la, ia, ga), *rest = [
+    (la, ia, ga), (lb, ib, gb) = [
         (a.letter, slots[a.args[0]], None) if len(a.args) == 1
         else (a.letter, None, itemgetter(*(slots[x] for x in a.args)))
         for a in atoms]
-    if not rest:
-        if isinstance(f, Diamond):
-            def ev(m, w, env):
-                ka = (env[ia],) if ga is None else ga(env)
-                facts = m.valuation
-                for v in m.frame.succ[w]:
-                    if ka in facts.get(v, _NO_FACTS).get(la, _NO_TUPLES):
-                        return True
-                return False
-        else:
-            def ev(m, w, env):
-                ka = (env[ia],) if ga is None else ga(env)
-                facts = m.valuation
-                for v in m.frame.succ[w]:
-                    if ka not in facts.get(v, _NO_FACTS).get(la, _NO_TUPLES):
-                        return False
-                return True
-        return ev
-    (lb, ib, gb), = rest
-    if isinstance(f, Diamond):
-        def ev(m, w, env):
-            ka = (env[ia],) if ga is None else ga(env)
-            kb = (env[ib],) if gb is None else gb(env)
-            facts = m.valuation
-            for v in m.frame.succ[w]:
-                at_v = facts.get(v, _NO_FACTS)
-                if ka in at_v.get(la, _NO_TUPLES) and \
-                        kb in at_v.get(lb, _NO_TUPLES):
-                    return True
-            return False
-    else:
-        def ev(m, w, env):
-            ka = (env[ia],) if ga is None else ga(env)
-            kb = (env[ib],) if gb is None else gb(env)
-            facts = m.valuation
-            for v in m.frame.succ[w]:
-                at_v = facts.get(v, _NO_FACTS)
-                if ka not in at_v.get(la, _NO_TUPLES) or \
-                        kb not in at_v.get(lb, _NO_TUPLES):
-                    return False
-            return True
+    # The body's value at a successor that settles the whole: true for
+    # <>, false for [].
+    settles = isinstance(f, Diamond)
+
+    def ev(m, w, env):
+        ka = (env[ia],) if ga is None else ga(env)
+        kb = (env[ib],) if gb is None else gb(env)
+        facts = m.valuation
+        for v in m.frame.succ[w]:
+            at_v = facts.get(v, _NO_FACTS)
+            if (ka in at_v.get(la, _NO_TUPLES)
+                    and kb in at_v.get(lb, _NO_TUPLES)) is settles:
+                return settles
+        return not settles
     return ev
 
 

@@ -173,6 +173,34 @@ def test_negative_step_cap_exit_2(capsys, monkeypatch, argv):
     _assert_usage_error(code, err)
 
 
+def test_sat_bound_below_one_names_the_option(capsys):
+    for option, other in (("--worlds", "--domain"), ("--domain", "--worlds")):
+        code, out, err = run(capsys, "sat", option, "-1", other, "1", "p")
+        assert (code, out) == (2, "")
+        assert err == f"error: {option} must be >= 1, got -1\n"
+
+
+def test_decide_bound_below_one_names_the_option(capsys, frame_file):
+    code, out, err = run(capsys, "decide", "--frame", frame_file,
+                         "--domain", "0", "p")
+    assert (code, out, err) == (2, "", "error: --domain must be >= 1, got 0\n")
+
+
+def test_separate_bound_below_one_names_the_option(capsys):
+    for option, other in (("--worlds", "--domain"), ("--domain", "--worlds")):
+        code, out, err = run(capsys, "separate", option, "0", other, "1")
+        assert (code, out) == (2, "")
+        assert err == f"error: {option} must be >= 1, got 0\n"
+
+
+def test_experiment_bound_below_one_names_the_option(capsys, tmp_path):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("exists x exists y P(x,y)\n")
+    code, out, err = run(capsys, "experiment", "--variant", "d2", "--size",
+                         "0", str(corpus))
+    assert (code, out, err) == (2, "", "error: --size must be >= 1, got 0\n")
+
+
 def test_zero_step_cap_exhausts(capsys):
     code, out, _ = run(capsys, "sat", "--worlds", "1", "--domain", "1",
                        "--max-steps", "0", "false")

@@ -5,13 +5,20 @@ from itertools import product
 
 import pytest
 
+from monotrick import semantics
 from monotrick.search import FrameClass, enumerate_frames, enumerate_models
 from monotrick.semantics import (
     MODES, PRINCIPLES, Equality, EvaluationError, Frame, Model, block_map,
     check_letter_arities, compile_formula, evaluate, frame_from_dict, identity_partition, model_from_dict, model_to_dict,
     valid_in_model, validate_model,
 )
-from monotrick.syntax import free_variables, letters, parse
+from monotrick.syntax import (
+    And, Box, Diamond, Verum, free_variables, letters, map_children, parse,
+)
+from monotrick.translations import (
+    Variant, build_companion_model, fresh_scheme, kripke_trick,
+)
+from tests.conftest import read_corpus
 from tests.test_syntax import random_formula
 
 
@@ -291,19 +298,37 @@ def naive_modal_eval(m, w, sigma, f):
     raise AssertionError(type(f))
 
 
-def _differential_formulas(rng, mode, count):
-    """Random formulas small enough to check on every model: no binary
-    letter, at most two letters, and no modality in intuitionistic mode."""
+def _differential_formulas(rng, mode, count, binary=False):
+    """Random formulas small enough to check on every model: at most two
+    letters, no modality in intuitionistic mode, and the binary letter P
+    in each formula if binary, in none otherwise."""
     out = []
     while len(out) < count:
         f = random_formula(rng, depth=3, vars_in_scope=["x", "y"])
         text = str(f)
-        if "P(" in text or len(letters(f)) > 2:
+        if ("P(" in text) != binary or len(letters(f)) > 2:
             continue
         if mode == "int" and ("[]" in text or "<>" in text):
             continue
         out.append(f)
     return out
+
+
+def _check_every_point(m, f, naive):
+    """Check evaluate() against naive at every point of m and
+    valid_in_model() against their conjunction; the number of points."""
+    fv = sorted(free_variables(f))
+    expect_valid = True
+    points = 0
+    for w in m.frame.worlds:
+        for combo in product(m.domains[w], repeat=len(fv)):
+            sigma = dict(zip(fv, combo))
+            expected = naive(m, w, sigma, f)
+            assert evaluate(m, w, sigma, f) == expected, (str(f), w, sigma)
+            expect_valid = expect_valid and expected
+            points += 1
+    assert valid_in_model(m, f)[0] == expect_valid, str(f)
+    return points
 
 
 @pytest.mark.parametrize("principle", PRINCIPLES)
@@ -318,19 +343,171 @@ def test_evaluator_matches_naive_oracle(mode, principle):
     points = 0
     for fr in frames:
         for f in _differential_formulas(rng, mode, 192 // len(frames)):
-            fv = sorted(free_variables(f))
             for m in enumerate_models(fr, letters(f), 2, mode, principle):
-                expect_valid = True
-                for w in fr.worlds:
-                    for combo in product(m.domains[w], repeat=len(fv)):
-                        sigma = dict(zip(fv, combo))
-                        expected = naive(m, w, sigma, f)
-                        assert evaluate(m, w, sigma, f) == expected, \
-                            (str(f), w, sigma)
-                        expect_valid = expect_valid and expected
-                        points += 1
-                assert valid_in_model(m, f)[0] == expect_valid, str(f)
+                points += _check_every_point(m, f, naive)
     assert points > 5000
+
+
+@pytest.mark.parametrize("principle", PRINCIPLES)
+@pytest.mark.parametrize("mode", MODES)
+def test_evaluator_matches_naive_oracle_on_binary_letters(mode, principle):
+    """As above, for formulas over the binary letter P: every point of
+    every model at domain <= 2 when P's only companion is a nullary
+    letter, at domain 1 with a unary letter (at domain 2 that pair has
+    about 70,000 modal models on the 2-world frames)."""
+    rng = random.Random(f"differential-binary-{mode}-{principle}")
+    naive = naive_modal_eval if mode == "modal" else naive_int_eval
+    cls = FrameClass(frozenset({"reflexive", "transitive"})) \
+        if mode == "int" else FrameClass()
+    frames = [fr for fr in enumerate_frames(2, cls) if len(fr.worlds) == 2]
+    points = binary_points = 0
+    for fr in frames:
+        for f in _differential_formulas(rng, mode, 16 // len(frames),
+                                        binary=True):
+            arities = letters(f)
+            domain = 1 if 1 in arities.values() else 2
+            for m in enumerate_models(fr, arities, domain, mode, principle):
+                n = _check_every_point(m, f, naive)
+                points += n
+                binary_points += n * (domain == 2)
+    assert points > 2000 and binary_points > 1000
+
+
+# The bodies that _compile gives one successor loop under [] or <>, by
+# their letters: one atom with arguments or the & of two, unary or binary,
+# a variable twice, a letter twice.
+FUSED_BODIES = {
+    "Q": ("Q(y)", "Q(x) & Q(y)", "Q(y) & Q(y)"),
+    "Q1 Q2": ("Q1(x) & Q2(y)", "Q2(x) & Q1(x)"),
+    "P": ("P(x,y)", "P(x,x)", "P(y,x) & P(x,y)"),
+    "P Q": ("Q(x) & P(x,y)", "P(y,y) & Q(x)"),
+}
+
+# Each body under [] and <>; the first two-atom body also under ~,
+# quantifiers and a second modality, and the first body where its
+# variables take slots 0 and 1 in turn.
+FUSED_CONTEXTS = ("~<>({})", "exists x []({})", "forall y <>({})",
+                  "<><>({})", "[]<>({})")
+
+
+def _fused_formulas(key):
+    bodies = FUSED_BODIES[key]
+    main = next(b for b in bodies if "&" in b)
+    return [parse(f"{op}({b})") for b in bodies for op in ("<>", "[]")] + \
+        [parse(c.format(main)) for c in FUSED_CONTEXTS] + \
+        [parse(f"forall x exists y []({bodies[0]})")]
+
+
+def _sparse(m):
+    """m with no empty extension and no world without facts in its
+    valuation: the fused closures then read the _NO_FACTS and
+    _NO_TUPLES defaults."""
+    valuation = {}
+    for w, facts in m.valuation.items():
+        kept = {letter: tuples for letter, tuples in facts.items() if tuples}
+        if kept:
+            valuation[w] = kept
+    return replace(m, valuation=valuation)
+
+
+def _facts(m):
+    """The domains and the valuation of m, hashable."""
+    return (tuple(m.domains.items()),
+            tuple((w, tuple(sorted(facts.items())))
+                  for w, facts in m.valuation.items()))
+
+
+@pytest.mark.parametrize("key", FUSED_BODIES)
+def test_fused_modal_atoms_match_naive_oracle(key):
+    """[] and <> over one atom or the & of two, alone, under ~ and
+    quantifiers and nested, at every point of every modal model on every
+    frame of at most 2 worlds (dead ends included) at domain <= 2, also
+    with the worlds and letters that hold nothing left out of the
+    valuation.  The models with expanding domains include those with
+    constant domains, as checked here.  The pair of P with Q has about
+    135,000 models at domain 2 there, so it runs at domain 2 on the
+    one-world frames and at domain 1 on the rest.  Int mode never takes
+    this path: the Gödel translation's boxes are over ~, ->, <-> and
+    forall."""
+    compiled = [(f, compile_formula(f, "modal")) for f in _fused_formulas(key)]
+    arities = letters(compiled[0][0])
+    assert all(letters(f) == arities for f, _ in compiled)
+    points = dead_ends = 0
+    for fr in enumerate_frames(2):
+        domain = 1 if key == "P Q" and len(fr.worlds) == 2 else 2
+        dead_ends += sum(not fr.succ[w] for w in fr.worlds)
+        models = list(enumerate_models(fr, arities, domain, "modal", "eq3"))
+        expanding = set(map(_facts, models))
+        assert all(_facts(m) in expanding for m in enumerate_models(
+            fr, arities, domain, "modal", "eq3", True))
+        for m in models:
+            sparse = _sparse(m)
+            for f, holds in compiled:
+                for w in fr.worlds:
+                    for values in product(m.domains[w],
+                                          repeat=len(holds.free)):
+                        expected = naive_modal_eval(
+                            m, w, dict(zip(holds.free, values)), f)
+                        assert holds.holds(m, w, values) == expected, \
+                            (str(f), m.valuation, w, values)
+                        assert holds.holds(sparse, w, values) == expected, \
+                            (str(f), sparse.valuation, w, values)
+                        points += 1
+    assert dead_ends == 9 and points > 4000
+
+
+def _unfused(f):
+    """f with every [] and <> body B written B & true, a body that
+    _compile gives the general closures."""
+    g = map_children(f, _unfused)
+    return type(g)(And(g.body, Verum())) if isinstance(g, (Box, Diamond)) \
+        else g
+
+
+@pytest.mark.parametrize("variant, size, corpus", [
+    (Variant.DIAMOND2, 3, "classical_corpus.txt"),
+    (Variant.DIAMOND2, 3, "graph_corpus.txt"),
+    (Variant.NEG_DIAMOND1, 4, "graph_corpus.txt"),
+])
+def test_fused_and_general_closures_agree_on_companions(variant, size,
+                                                         corpus):
+    """The truth of each corpus sentence's translation at the root of the
+    companion of every class representative, fused and through the
+    general closures."""
+    from tests.test_golden_companions import _representatives
+    translated = []
+    for text in read_corpus(corpus):
+        f = parse(text)
+        g = kripke_trick(f, variant, fresh_scheme(f))
+        translated.append((compile_formula(g, "modal").holds,
+                           compile_formula(_unfused(g), "modal").holds))
+    checks = truths = 0
+    for s in _representatives(variant, size):
+        m, root = build_companion_model(s, variant)
+        for fused, general in translated:
+            truth = fused(m, root, ())
+            assert truth == general(m, root, ()), (s, root)
+            checks += 1
+            truths += truth
+    assert len(translated) >= 10 and 0 < truths < checks
+
+
+def test_fused_closures_serve_exactly_the_trick_shapes():
+    """Which [] and <> get one successor loop: an atom with arguments or
+    the & of two, in either order; nothing with a nullary letter, a third
+    atom, a negation, a disjunction, = or a nested modality."""
+    slots = {"x": 0, "y": 1, "z": 2}
+
+    def fused(text):
+        ev = semantics._compile(parse(text), slots, [3])
+        return ev.__qualname__.startswith("_compile_modal_atoms")
+    for key, bodies in FUSED_BODIES.items():
+        for body in bodies:
+            assert fused(f"<>({body})") and fused(f"[]({body})"), body
+    for text in ("<>p", "<>(Q(x) & p)", "[](Q(x) & Q(y) & Q(z))",
+                 "<>~Q(x)", "[](Q(x) | Q(y))", "<>(x = y)", "<><>Q(x)",
+                 "<>(Q(x) & true)", "<>((Q(x) & Q(y)) & true)"):
+        assert not fused(text), text
 
 
 class TestValidInModel:
