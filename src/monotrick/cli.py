@@ -143,7 +143,9 @@ def _max_steps(args) -> int | None:
 
 
 def _bound(option: str, value: int | None) -> int | None:
-    """value, given as option, if it is None or at least 1."""
+    """value, given as option, if it is None or at least 1.  Commands
+    check their bounds after reading their other inputs and the step cap,
+    where the search functions would check them."""
     if value is not None and value < 1:
         raise UsageError(f"{option} must be >= 1, got {value}")
     return value
@@ -262,10 +264,10 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_separate(args) -> int:
-    max_steps = _max_steps(args)
-    report = search.eq_separation_search(_bound("--worlds", args.worlds),
-                                         _bound("--domain", args.domain),
-                                         max_steps=max_steps)
+    report = search.eq_separation_search(
+        max_steps=_max_steps(args),
+        world_bound=_bound("--worlds", args.worlds),
+        domain_bound=_bound("--domain", args.domain))
     d = report.to_dict()
     human = "\n".join(f"{key}: " + (
         "not found within bounds" if isinstance(d[key], str)

@@ -384,8 +384,8 @@ FUSED_BODIES = {
 }
 
 # Each body under [] and <>; the first two-atom body also under ~,
-# quantifiers and a second modality, and the first body where its
-# variables take slots 0 and 1 in turn.
+# quantifiers and a second modality; and the first body under
+# forall x exists y [], where y reads slot 1, not slot 0.
 FUSED_CONTEXTS = ("~<>({})", "exists x []({})", "forall y <>({})",
                   "<><>({})", "[]<>({})")
 
@@ -425,7 +425,7 @@ def test_fused_modal_atoms_match_naive_oracle(key):
     with the worlds and letters that hold nothing left out of the
     valuation.  The models with expanding domains include those with
     constant domains, as checked here.  The pair of P with Q has about
-    135,000 models at domain 2 there, so it runs at domain 2 on the
+    70,000 models at domain 2 there, so it runs at domain 2 on the
     one-world frames and at domain 1 on the rest.  Int mode never takes
     this path: the Gödel translation's boxes are over ~, ->, <-> and
     forall."""
