@@ -95,7 +95,10 @@ def _read_corpus(path: str) -> list[syntax.Formula]:
         try:
             corpus.append(parse(line))
         except ParseError as exc:
-            raise ParseError(f"{path}: {exc.message}", lineno, exc.col,
+            # The tokenizer also ends a line at a form feed, U+2028, ...
+            col = exc.col and exc.col + sum(
+                map(len, line.splitlines(True)[:exc.line - 1]))
+            raise ParseError(f"{path}: {exc.message}", lineno, col,
                              exc.expected) from None
     return corpus
 
@@ -313,14 +316,14 @@ _COMMANDS = {
         (("formula",), {}),
     ]),
     "sat": ("bounded satisfiability over a frame class", [
-        (("--mode",), {"choices": ("modal", "int"), "default": "modal"}),
+        (("--mode",), {"choices": semantics.MODES, "default": "modal"}),
         (("--class",), {"dest": "frame_class", "default": "", "help":
                         "comma-separated frame properties, all of which "
                         "hold (of several alt_n, the least), e.g. "
                         "reflexive,alt_2"}),
         (("--worlds",), {"type": int, "required": True}),
         (("--domain",), {"type": int, "required": True}),
-        (("--eq",), {"choices": ("eq1", "eq2", "eq3"), "default": "eq3"}),
+        (("--eq",), {"choices": semantics.PRINCIPLES, "default": "eq3"}),
         (("--constant",), {"action": "store_true"}),
         _MAX_STEPS,
         (("formula",), {}),
@@ -328,8 +331,8 @@ _COMMANDS = {
     "decide": ("validity over a fixed finite frame", [
         (("--frame",), {"required": True}),
         (("--domain",), {"type": int, "default": None}),
-        (("--mode",), {"choices": ("modal", "int"), "default": "modal"}),
-        (("--eq",), {"choices": ("eq1", "eq2", "eq3"), "default": "eq3"}),
+        (("--mode",), {"choices": semantics.MODES, "default": "modal"}),
+        (("--eq",), {"choices": semantics.PRINCIPLES, "default": "eq3"}),
         (("--constant",), {"action": "store_true"}),
         _MAX_STEPS,
         (("formula",), {}),

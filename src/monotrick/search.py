@@ -495,9 +495,9 @@ def classical_sat(f: Formula, size_bound: int) -> ClassicalStructure | None:
         raise ValueError("size_bound must be >= 1")
     if modal_depth(f) > 0:
         raise ClassicalSearchError("classical search rejects modal formulas")
-    if free_variables(f):
-        raise ClassicalSearchError(
-            f"formula must be closed; free: {sorted(free_variables(f))}")
+    free = free_variables(f)
+    if free:
+        raise ClassicalSearchError(f"formula must be closed; free: {sorted(free)}")
     arities = letters(f)
     binaries = sorted(name for name, a in arities.items() if a == 2)
     if any(a > 2 for a in arities.values()):
@@ -856,9 +856,9 @@ def sat_bounded(f: Formula, cls: FrameClass, world_bound: int, domain_bound: int
 
 def default_domain_bound(f: Formula) -> int:
     """Heuristic bound: 2^(unary letters) * (variables + 1)."""
-    unary = sum(1 for a in letters(f).values() if a == 1)
-    from .syntax import all_variables
-    return (2 ** unary) * (len(all_variables(f)) + 1)
+    report = classify(f)
+    unary = sum(1 for a in report.letter_arities.values() if a == 1)
+    return (2 ** unary) * (report.variable_count + 1)
 
 
 def decide_valid_over_frame(fr: Frame, f: Formula, domain_bound: int | None = None,

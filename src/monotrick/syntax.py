@@ -24,9 +24,11 @@ _VARIABLE_RE = re.compile(r"[xyzuvw][0-9]*\Z")
 # parentheses.  Parsing takes up to six frames per parenthesis (_nested,
 # _unary, _atomic and a _binary for each of at most three precedence
 # levels that left-associative operands climb) and two per prefix
-# operator or right-associative connective, and compiling, evaluating
-# and printing at most two per AST level, so every accepted formula stays
-# well inside the default recursion limit (1000).
+# operator or right-associative connective.  Compiling, evaluating,
+# printing and modal_depth take two frames per AST level (on Python 3.11
+# they stop near 497 levels), the folds over _children one (near 996;
+# 748 on 3.12 where they recurse through map), so every accepted formula
+# stays well inside the default recursion limit (1000).
 MAX_DEPTH = 100
 
 
@@ -360,7 +362,7 @@ def free_variables(f: Formula) -> frozenset[str]:
 
 def all_variables(f: Formula) -> frozenset[str]:
     """Every variable occurring in f, bound or free (binders included)."""
-    return frozenset(x for g in subformulas(f) for x in _variables(g))
+    return frozenset(_variables(f)).union(*map(all_variables, _children(f)))
 
 
 def _children(f: Formula) -> tuple:
@@ -382,18 +384,11 @@ def map_children(f: Formula, fn) -> Formula:
     return f
 
 
-def subformulas(f: Formula):
-    """Yield f and every subformula of f, outermost first, left before
-    right.  Iterative, so it is safe on formulas of any depth."""
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        yield g
-        stack.extend(reversed(_children(g)))
-
-
 def nesting_depth(f: Formula) -> int:
-    """Number of nodes on the longest root-to-leaf path of f."""
+    """Number of nodes on the longest root-to-leaf path of f.  The one
+    walk over an explicit stack: parse measures left-associative chains
+    of any length with it before the depth bound holds, so a long chain
+    gives the "nests deeper" ParseError, never a RecursionError."""
     deepest = 0
     stack = [(f, 1)]
     while stack:
@@ -403,18 +398,26 @@ def nesting_depth(f: Formula) -> int:
     return deepest
 
 
+def _note_arity(arities: dict[str, int], atom: Atom) -> None:
+    """Record atom's arity; an ArityConflictError if its letter has another."""
+    seen = arities.setdefault(atom.letter, len(atom.args))
+    if seen != len(atom.args):
+        raise ArityConflictError(
+            f"letter {atom.letter!r} used with arity {len(atom.args)} "
+            f"after arity {seen}")
+
+
 def letters(f: Formula) -> dict[str, int]:
-    """Map each predicate letter in f to its arity."""
+    """Map each predicate letter in f to its arity, met left to right."""
     out: dict[str, int] = {}
-    for g in subformulas(f):
+
+    def walk(g):
         if isinstance(g, Atom):
-            seen = out.get(g.letter)
-            if seen is None:
-                out[g.letter] = len(g.args)
-            elif seen != len(g.args):
-                raise ArityConflictError(
-                    f"letter {g.letter!r} used with arity {len(g.args)} "
-                    f"after arity {seen}")
+            _note_arity(out, g)
+        for c in _children(g):
+            walk(c)
+
+    walk(f)
     return out
 
 
@@ -443,53 +446,42 @@ class FragmentReport:
 
 
 def classify(f: Formula) -> FragmentReport:
-    """Compute the fragment membership report for f in one iterative
-    post-order walk: each subformula leaves its free variables and modal
-    depth on a stack for its parent.  Atoms are met left to right, as
-    ``letters`` meets them, so an arity conflict is reported alike."""
+    """Compute the fragment membership report for f in one recursive
+    fold: each subformula returns its free variables and modal depth to
+    its parent.  Atoms are met left to right, as ``letters`` meets them,
+    so an arity conflict is reported alike."""
     arities: dict[str, int] = {}
     variables: set[str] = set()
-    monodic, positive, has_eq = True, True, False
-    done = []  # (free variables, modal depth) of finished subformulas
-    stack = [(f, False)]
-    while stack:
-        g, expanded = stack.pop()
-        kind, children = type(g), _children(g)
-        if children and not expanded:
-            stack.append((g, True))
-            stack.extend((c, False) for c in reversed(children))
-            continue
+    kinds: set[type] = set()
+    monodic = True
+
+    def walk(g):
+        nonlocal monodic
+        kinds.add(type(g))
         own = _variables(g)
         variables.update(own)
-        if kind is Atom:
-            seen = arities.setdefault(g.letter, len(own))
-            if seen != len(own):
-                raise ArityConflictError(
-                    f"letter {g.letter!r} used with arity {len(own)} "
-                    f"after arity {seen}")
-        if len(children) == 2:
-            (free_r, depth_r), (free_l, depth_l) = done.pop(), done.pop()
-            done.append((free_l | free_r, max(depth_l, depth_r)))
-            continue
-        free, depth = done.pop() if children else (frozenset(own), 0)
-        if kind in (Box, Diamond):
+        if isinstance(g, Atom):
+            _note_arity(arities, g)
+        free, depth = frozenset(), 0
+        for c in _children(g):
+            child_free, child_depth = walk(c)
+            free, depth = free | child_free, max(depth, child_depth)
+        if isinstance(g, (Forall, Exists)):
+            return free - {g.var}, depth
+        if isinstance(g, (Box, Diamond)):
             monodic = monodic and len(free) <= 1
-            depth += 1
-        elif kind in (Forall, Exists):
-            free = free - {g.var}
-        elif kind in (Not, Falsum):
-            positive = False
-        elif kind is Eq:
-            has_eq = True
-        done.append((free, depth))
+            return free, depth + 1
+        return free.union(own), depth
+
+    depth = walk(f)[1]
     arity = max(arities.values(), default=0)
     return FragmentReport(
         is_monadic=arity <= 1,
         is_monodic=monodic,
-        is_positive=positive,
-        has_equality=has_eq,
+        is_positive=kinds.isdisjoint((Not, Falsum)),
+        has_equality=Eq in kinds,
         variable_count=len(variables),
-        modal_depth=done[0][1],
+        modal_depth=depth,
         max_letter_arity=arity,
         letter_arities=arities,
     )

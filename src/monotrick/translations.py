@@ -56,16 +56,13 @@ class ClassicalStructure:
         return all(a != b for (a, b) in self.relation)
 
 
-@dataclass(frozen=True)
-class NamingScheme:
+class NamingScheme(NamedTuple):
+    """The letters the trick writes; a scheme is the tuple of them."""
     q1: str = "Q1"
     q2: str = "Q2"
     q: str = "Q"
     p: str = "p_neg"
     q_prop: str = "q_aux"
-
-    def names(self) -> tuple[str, ...]:
-        return (self.q1, self.q2, self.q, self.p, self.q_prop)
 
 
 def _fresh(names: tuple, f: Formula) -> tuple:
@@ -81,7 +78,7 @@ def _fresh(names: tuple, f: Formula) -> tuple:
 
 def fresh_scheme(f: Formula) -> NamingScheme:
     """Default naming scheme, suffixed to avoid the letters of f."""
-    return NamingScheme(*_fresh(NamingScheme().names(), f))
+    return NamingScheme(*_fresh(NamingScheme(), f))
 
 
 def fresh_letter(f: Formula, base: str = "p_neg") -> str:
@@ -129,7 +126,7 @@ def _check_trick_input(report: FragmentReport,
         elif arity == 1:
             raise TranslationError(
                 f"unary letter {letter!r} not admitted in trick input")
-        if letter in names.names():
+        if letter in names:
             raise TranslationError(f"letter {letter!r} collides with the naming scheme")
     return binary
 
@@ -199,10 +196,11 @@ COMPANIONS = {
 def companion(variant: Variant) -> Companion:
     """The COMPANIONS entry of variant; a TranslationError for a variant
     without a companion-model construction."""
-    if variant not in COMPANIONS:
+    spec = COMPANIONS.get(variant)
+    if spec is None:
         raise TranslationError(
             f"no companion construction for variant {variant.value}")
-    return COMPANIONS[variant]
+    return spec
 
 
 class CompanionTable(NamedTuple):

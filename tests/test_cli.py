@@ -342,15 +342,22 @@ def test_experiment_empty_corpus(capsys, tmp_path):
     assert json.loads(out)["corpus_size"] == 0
 
 
-def test_experiment_parse_error_names_the_corpus_line(capsys, tmp_path):
+@pytest.mark.parametrize("line, where", [
+    ("forall x (", "column 11 (expected formula)"),
+    # The tokenizer ends a line at a form feed or U+2028 too; the column
+    # still counts from the start of the corpus line.
+    ("exists y P(y,y) \f& P(y", "column 23 (expected ')')"),
+    ("exists y P(y,y) \u2028& P(y", "column 23 (expected ')')"),
+], ids=["newline", "form-feed", "line-separator"])
+def test_experiment_parse_error_names_the_corpus_line(capsys, tmp_path, line,
+                                                      where):
     corpus = tmp_path / "corpus.txt"
-    corpus.write_text("exists x exists y P(x,y)\n"
-                      "forall x (\n")
+    corpus.write_text(f"exists x exists y P(x,y)\n{line}\n", encoding="utf-8")
     code, out, err = run(capsys, "experiment", "--variant", "d2", "--size",
                          "2", str(corpus))
     assert code == 2 and out == ""
     assert err == (f"error: {corpus}: unexpected end of input at line 2, "
-                   "column 11 (expected formula)\n")
+                   f"{where}\n")
 
 
 def test_json_verdict_round_trips(capsys, frame_file):

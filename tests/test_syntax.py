@@ -5,8 +5,9 @@ import pytest
 
 from monotrick.syntax import (
     MAX_DEPTH, And, Atom, ArityConflictError, Box, Diamond, Eq, Exists, Falsum,
-    Forall, Iff, Implies, Not, Or, ParseError, Verum, all_variables, classify,
-    free_variables, letters, modal_depth, nesting_depth, parse, render,
+    Forall, Formula, Iff, Implies, Not, Or, ParseError, Verum, all_variables,
+    classify, free_variables, letters, modal_depth, nesting_depth, parse,
+    render,
 )
 
 
@@ -115,13 +116,16 @@ class TestDepthBound:
         " & ".join(["P(x,y)"] * MAX_DEPTH),
     ], ids=["not", "box", "forall", "parentheses", "implies", "and"])
     def test_deepest_accepted_formulas_are_usable(self, text):
+        from monotrick.search import default_domain_bound
         from monotrick.semantics import evaluate, valid_in_model
         from monotrick.translations import Variant, fresh_scheme, kripke_trick
         from tests.test_semantics import simple_model
         f = parse(text)
         assert nesting_depth(f) <= MAX_DEPTH
         assert parse(render(f)) == f
-        classify(f)
+        for query in (classify, letters, all_variables, free_variables,
+                      modal_depth, default_domain_bound):
+            query(f)
         has_box = "[]" in text
         if not has_box:  # the trick takes classical input only
             kripke_trick(f, Variant.DIAMOND2, fresh_scheme(f))
@@ -131,6 +135,18 @@ class TestDepthBound:
                 "v": {"P": frozenset({("a", "b")})}})
             evaluate(m, "w", {"x": "a", "y": "b"}, f)
             valid_in_model(m, f)
+
+    def test_folds_spend_one_frame_per_level(self):
+        """The folds over _children walk a library-built formula 700
+        levels deep; at two frames per level they would pass the default
+        recursion limit (1000)."""
+        f = Atom("Q", ("x",))
+        for i in range(700):
+            f = (Not, Box, lambda body: Exists("x", body))[i % 3](f)
+        assert classify(f).modal_depth == 233
+        assert letters(f) == {"Q": 1}
+        assert all_variables(f) == {"x"}
+        assert free_variables(f) == frozenset()
 
 
 class TestRender:
@@ -225,7 +241,6 @@ class TestClassify:
 
     def test_monodic_propagates_to_modal_subformulas(self):
         rng = random.Random(11)
-        from monotrick.syntax import subformulas
         checked = 0
         for _ in range(300):
             f = random_formula(rng, depth=4, vars_in_scope=["x", "y"])
@@ -242,8 +257,6 @@ class TestClassify:
         letters, free_variables, all_variables and modal_depth; a third of
         the formulas repeat a letter at another arity, and both must
         raise the same ArityConflictError."""
-        from monotrick.syntax import subformulas
-
         def reference(f):
             arity = max(letters(f).values(), default=0)
             return (arity <= 1,
@@ -272,6 +285,14 @@ class TestClassify:
             assert got == want, render(f)
             conflicts += isinstance(want, str)
         assert conflicts > 50
+
+
+def subformulas(f):
+    """f and every subformula of f, outermost first, left before right."""
+    yield f
+    for c in vars(f).values():
+        if isinstance(c, Formula):
+            yield from subformulas(c)
 
 
 def _rename_bound(f, mapping):
