@@ -104,12 +104,22 @@ def _read_corpus(path: str) -> list[syntax.Formula]:
 
 
 def _parse_assignment(text: str) -> dict:
+    """The var=ind entries of --assign.  An entry without ``=``, one whose
+    name is not a variable, or a variable's second entry is a usage error,
+    never a verdict."""
     sigma = {}
     for item in filter(None, (s.strip() for s in text.split(","))):
-        if "=" not in item:
+        var, eq, ind = item.partition("=")
+        var = var.strip()
+        if not eq:
             raise UsageError(f"bad assignment entry {item!r}; expected var=ind")
-        var, ind = item.split("=", 1)
-        sigma[var.strip()] = ind.strip()
+        if not syntax.is_variable_name(var):
+            raise UsageError(f"bad assignment entry {item!r}; {var!r} is not "
+                             "a variable")
+        if var in sigma:
+            raise UsageError(f"bad assignment entry {item!r}; {var} is "
+                             "already assigned")
+        sigma[var] = ind.strip()
     return sigma
 
 

@@ -31,13 +31,13 @@ calls, so a call holds one companion per naming scheme at a time.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, field
+from copy import deepcopy
 from functools import cache
 from itertools import combinations
 
 from .search import _least_labelled, _renamed_masks, compile_classical
 from .semantics import compile_formula
-from .syntax import free_variables, letters, parse, render
+from .syntax import Record, free_variables, letters, parse, render
 from .translations import (
     ClassicalStructure, TranslationError, Variant, build_companion_model,
     companion, companion_table, fresh_scheme, kripke_trick,
@@ -108,18 +108,25 @@ def _classes(max_size: int, symmetric: bool) -> tuple:
     return index + 1, tuple(classes)
 
 
-@dataclass
-class ExperimentReport:
-    variant: str
-    corpus_size: int
-    structure_count: int
-    agreement: int
-    disagreements: list = field(default_factory=list)
-    skipped: list = field(default_factory=list)
-    wall_time: float = 0.0
+class ExperimentReport(Record):
+    _fields = ("variant", "corpus_size", "structure_count", "agreement",
+               "disagreements", "skipped", "wall_time")
+
+    def __init__(self, variant: str, corpus_size: int, structure_count: int,
+                 agreement: int, disagreements: list | None = None,
+                 skipped: list | None = None, wall_time: float = 0.0):
+        self.variant = variant
+        self.corpus_size = corpus_size
+        self.structure_count = structure_count
+        self.agreement = agreement
+        self.disagreements = [] if disagreements is None else disagreements
+        self.skipped = [] if skipped is None else skipped
+        self.wall_time = wall_time
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """Every field, its lists and dicts copied, as
+        dataclasses.asdict gives them."""
+        return deepcopy(dict(zip(self._fields, self._key())))
 
 
 def trick_experiment(corpus, variant: Variant, size_bound: int) -> ExperimentReport:

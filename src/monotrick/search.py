@@ -126,7 +126,6 @@ no scan, the verdict of the views.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, make_dataclass
 from functools import cache, lru_cache
 from itertools import islice, permutations, product
 from operator import itemgetter
@@ -138,8 +137,9 @@ from .semantics import (
     partition_congruent, validate_model,
 )
 from .syntax import (
-    And, Atom, Eq, Exists, Falsum, Forall, Formula, Iff, Implies, Not, Or,
-    Verum, classify, free_variables, letters, modal_depth, parse,
+    And, Atom, Eq, Exists, Falsum, Forall, Formula, FrozenRecord, Iff,
+    Implies, Not, Or, Record, Verum, classify, free_variables, letters,
+    modal_depth, parse,
 )
 from .translations import ClassicalStructure
 
@@ -170,17 +170,21 @@ _PROPERTIES = {
 PROPERTY_NAMES = tuple(_PROPERTIES)
 
 
-@dataclass(frozen=True)
-class FrameClass:
-    properties: frozenset[str] = frozenset()
-    alt_bound: int | None = None
+_set = object.__setattr__
 
-    def __post_init__(self):
-        unknown = self.properties - set(PROPERTY_NAMES)
+
+class FrameClass(FrozenRecord):
+    _fields = ("properties", "alt_bound")
+
+    def __init__(self, properties: frozenset[str] = frozenset(),
+                 alt_bound: int | None = None):
+        unknown = properties - set(PROPERTY_NAMES)
         if unknown:
             raise ValueError(f"unknown frame properties: {sorted(unknown)}")
-        if self.alt_bound is not None and self.alt_bound < 0:
+        if alt_bound is not None and alt_bound < 0:
             raise ValueError("alt_n bound must be non-negative")
+        _set(self, "properties", properties)
+        _set(self, "alt_bound", alt_bound)
 
     def with_properties(self, *names: str) -> "FrameClass":
         return FrameClass(self.properties | set(names), self.alt_bound)
@@ -207,12 +211,27 @@ def parse_frame_class(text: str) -> FrameClass:
     return FrameClass(frozenset(props), min(alts, default=None))
 
 
-# A frame's value of each property and its largest out-degree.
-PropertyReport = make_dataclass(
-    "PropertyReport",
-    [(name, bool) for name in PROPERTY_NAMES] + [("max_out_degree", int)],
-    frozen=True, namespace={"__module__": __name__,
-                            "to_dict": lambda self: asdict(self)})
+class PropertyReport(FrozenRecord):
+    """A frame's value of each property and its largest out-degree."""
+
+    _fields = PROPERTY_NAMES + ("max_out_degree",)
+
+    def __init__(self, reflexive: bool, transitive: bool, symmetric: bool,
+                 serial: bool, euclidean: bool, linear: bool,
+                 partial_order: bool, irreflexive_transitive: bool,
+                 max_out_degree: int):
+        _set(self, "reflexive", reflexive)
+        _set(self, "transitive", transitive)
+        _set(self, "symmetric", symmetric)
+        _set(self, "serial", serial)
+        _set(self, "euclidean", euclidean)
+        _set(self, "linear", linear)
+        _set(self, "partial_order", partial_order)
+        _set(self, "irreflexive_transitive", irreflexive_transitive)
+        _set(self, "max_out_degree", max_out_degree)
+
+    def to_dict(self) -> dict:
+        return dict(zip(self._fields, self._key()))
 
 
 def frame_properties(fr: Frame) -> PropertyReport:
@@ -749,16 +768,21 @@ def _copy(model: Model) -> Model:
 # ---------------------------------------------------------------------------
 # Verdicts and bounded decision procedures
 
-@dataclass
-class Verdict:
-    outcome: str  # valid | countermodel | satisfiable |
-    #               unsatisfiable_up_to_bound | no_countermodel_up_to_bound |
-    #               bound_exhausted
-    bounds_used: dict
-    model: Model | None = None
-    world: str | None = None
-    assignment: dict | None = None
-    warnings: list = field(default_factory=list)
+class Verdict(Record):
+    _fields = ("outcome", "bounds_used", "model", "world", "assignment",
+               "warnings")
+
+    def __init__(self, outcome: str, bounds_used: dict,
+                 model: Model | None = None, world: str | None = None,
+                 assignment: dict | None = None, warnings: list | None = None):
+        # valid | countermodel | satisfiable | unsatisfiable_up_to_bound |
+        # no_countermodel_up_to_bound | bound_exhausted
+        self.outcome = outcome
+        self.bounds_used = bounds_used
+        self.model = model
+        self.world = world
+        self.assignment = assignment
+        self.warnings = [] if warnings is None else warnings
 
     def to_dict(self) -> dict:
         out = {
@@ -912,14 +936,18 @@ def decide_valid_over_frame(fr: Frame, f: Formula, domain_bound: int | None = No
 # ---------------------------------------------------------------------------
 # Equality-principle separation harness
 
-@dataclass
-class SeparationFinding:
+class SeparationFinding(Record):
     """A formula valid on frame under eq2 with an eq1 countermodel."""
-    frame: Frame
-    formula: Formula
-    mode: str
-    counter_verdict: Verdict
-    reverified: bool
+
+    _fields = ("frame", "formula", "mode", "counter_verdict", "reverified")
+
+    def __init__(self, frame: Frame, formula: Formula, mode: str,
+                 counter_verdict: Verdict, reverified: bool):
+        self.frame = frame
+        self.formula = formula
+        self.mode = mode
+        self.counter_verdict = counter_verdict
+        self.reverified = reverified
 
     def to_dict(self) -> dict:
         return {
@@ -934,11 +962,14 @@ class SeparationFinding:
         }
 
 
-@dataclass
-class SeparationReport:
-    world_bound: int
-    domain_bound: int
-    eq2_not_eq1: SeparationFinding | None
+class SeparationReport(Record):
+    _fields = ("world_bound", "domain_bound", "eq2_not_eq1")
+
+    def __init__(self, world_bound: int, domain_bound: int,
+                 eq2_not_eq1: SeparationFinding | None):
+        self.world_bound = world_bound
+        self.domain_bound = domain_bound
+        self.eq2_not_eq1 = eq2_not_eq1
 
     def to_dict(self) -> dict:
         return {

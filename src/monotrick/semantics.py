@@ -13,20 +13,30 @@ There is one evaluator, the modal one: intuitionistic truth at a world
 of a preorder model is modal truth of the formula's Gödel translation
 (Gödel 1933; McKinsey and Tarski 1948), which puts a ``[]`` on each
 ``~``, ``->``, ``<->`` and ``forall``.
+
+``Frame``, ``Equality`` and ``Violation`` are immutable records
+(``syntax.Record``): assigning or deleting an attribute raises
+dataclasses.FrozenInstanceError.  A frame is equal to and hashes as any
+frame with the same worlds and edges, of ``Frame.universal`` or not.
+An equality compares its principle and partitions (not its block maps)
+and, holding a dict, cannot be hashed.  ``Model`` stays a mutable,
+unhashable dataclass, since callers build variants of it with
+dataclasses.replace.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import product
 from operator import itemgetter
 from typing import Callable, NamedTuple
 
 from .syntax import (
-    And, Atom, Box, Diamond, Eq, Exists, Falsum, Forall, Formula, Iff,
-    Implies, Not, Or, Verum, free_variables, letters, map_children,
+    And, Atom, Box, Diamond, Eq, Exists, Falsum, Forall, Formula,
+    FrozenRecord, Iff, Implies, Not, Or, Verum, free_variables, letters,
+    map_children,
 )
 
 MODES = ("modal", "int")
@@ -42,20 +52,18 @@ def _ind_key(a):
 
 
 _NO_BLOCKS: dict = {}
+_set = object.__setattr__
 
 
-@dataclass(frozen=True, eq=False)
-class Frame:
-    worlds: tuple[str, ...]
-    access: frozenset[tuple[str, str]]
-    # world -> successors in world order; edges leaving the world set are
-    # not in it (validate_model reports them).
-    succ: dict[str, tuple[str, ...]] = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "succ", {
-            w: tuple(v for v in self.worlds if (w, v) in self.access)
-            for w in self.worlds})
+class Frame(FrozenRecord):
+    def __init__(self, worlds: tuple[str, ...],
+                 access: frozenset[tuple[str, str]]):
+        _set(self, "worlds", worlds)
+        _set(self, "access", access)
+        # world -> successors in world order; edges leaving the world set
+        # are not in it (validate_model reports them).
+        _set(self, "succ", {w: tuple(v for v in worlds if (w, v) in access)
+                            for w in worlds})
 
     # Written out so that a universal frame, of a subclass, compares,
     # hashes and prints as the Frame of its edges.
@@ -77,8 +85,8 @@ class Frame:
         succ is filled without testing the pairs one by one; the n^2
         edges of access are made on its first read."""
         frame = object.__new__(_UniversalFrame)
-        object.__setattr__(frame, "worlds", worlds)
-        object.__setattr__(frame, "succ", dict.fromkeys(worlds, worlds))
+        _set(frame, "worlds", worlds)
+        _set(frame, "succ", dict.fromkeys(worlds, worlds))
         return frame
 
 
@@ -92,18 +100,18 @@ class _UniversalFrame(Frame):
         return frozenset(product(self.worlds, repeat=2))
 
 
-@dataclass(frozen=True)
-class Equality:
-    principle: str
-    classes: dict[str, tuple[frozenset, ...]]  # world -> partition of D(w)
-    # world -> individual -> its block, None until the first related()
-    # call builds it: only = atoms read it.  Worlds that share a partition,
-    # and models that share this Equality, share the map.
-    blocks: dict[str, dict] | None = field(init=False, repr=False,
-                                           compare=False)
+class Equality(FrozenRecord):
+    _fields = ("principle", "classes")
 
-    def __post_init__(self):
-        object.__setattr__(self, "blocks", None)
+    def __init__(self, principle: str,
+                 classes: dict[str, tuple[frozenset, ...]]):
+        _set(self, "principle", principle)
+        _set(self, "classes", classes)  # world -> partition of D(w)
+        # world -> individual -> its block, None until the first related()
+        # call builds it: only = atoms read it.  Worlds that share a
+        # partition, and models that share this Equality, share the map.
+        # Outside repr, == and hash.
+        _set(self, "blocks", None)
 
     def related(self, w: str, a, b) -> bool:
         if a == b:
@@ -121,14 +129,16 @@ class Equality:
             if id(part) not in maps:
                 maps[id(part)] = block_map(part)
         blocks = {w: maps[id(part)] for w, part in self.classes.items()}
-        object.__setattr__(self, "blocks", blocks)
+        _set(self, "blocks", blocks)
         return blocks
 
 
-@dataclass(frozen=True)
-class Violation:
-    name: str
-    witness: str
+class Violation(FrozenRecord):
+    _fields = ("name", "witness")
+
+    def __init__(self, name: str, witness: str):
+        _set(self, "name", name)
+        _set(self, "witness", witness)
 
     def __str__(self) -> str:
         return f"{self.name}: {self.witness}"

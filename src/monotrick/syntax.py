@@ -11,12 +11,22 @@ table ``_BINARY``.
 
 Identifiers matching ``[xyzuvw][0-9]*`` are variables; everything else
 is a predicate letter.
+
+Formula nodes, like every record of the package (``Record``), behave as
+the dataclasses they were once declared as, but are written out: a
+dataclass writes the source of its methods and execs it at every
+import.  A node is immutable: assigning or deleting an attribute raises
+dataclasses.FrozenInstanceError, and its fields are its only instance
+attributes.  Two nodes are equal when they are of one class with equal
+fields, and a node hashes as the tuple of its fields, so equal nodes
+hash alike and a hash depends on the string-hash seed only through the
+strings in the node.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import asdict, dataclass, field
+from dataclasses import FrozenInstanceError
 
 _VARIABLE_RE = re.compile(r"[xyzuvw][0-9]*\Z")
 
@@ -36,86 +46,166 @@ def is_variable_name(name: str) -> bool:
     return bool(_VARIABLE_RE.match(name))
 
 
-class Formula:
-    """Base class for formula nodes.  Instances are immutable."""
+class Record:
+    """Base of the package's records (see the module docstring).
+    ``_fields`` names the fields that repr shows as ``name=value`` and
+    that ``==`` compares; ``==`` holds only within one class.  A record
+    that can change is unhashable."""
 
-    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}"
+                          for name in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    __hash__ = None
+
+
+class FrozenRecord(Record):
+    """A record that __init__ sets up with object.__setattr__ and that
+    hashes the tuple of its fields."""
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+_set = object.__setattr__
+
+
+class Formula(FrozenRecord):
+    """Base class for formula nodes.  Each layout of fields below writes
+    ``__eq__`` and ``__hash__`` over an explicit tuple, the fastest form:
+    compile_formula's cache hashes and compares a formula, node by node,
+    on every call."""
 
     def __str__(self) -> str:
         return render(self)
 
 
-@dataclass(frozen=True)
+class _Unary(Formula):
+    _fields = ("body",)
+
+    def __init__(self, body: Formula):
+        _set(self, "body", body)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.body,) == (other.body,)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.body,))
+
+
+class _Binary(Formula):
+    _fields = ("left", "right")
+
+    def __init__(self, left, right):
+        _set(self, "left", left)
+        _set(self, "right", right)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.left, self.right) == (other.left, other.right)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.left, self.right))
+
+
+class _Quantifier(Formula):
+    _fields = ("var", "body")
+
+    def __init__(self, var: str, body: Formula):
+        _set(self, "var", var)
+        _set(self, "body", body)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.var, self.body) == (other.var, other.body)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.var, self.body))
+
+
 class Atom(Formula):
-    letter: str
-    args: tuple[str, ...] = ()
+    _fields = ("letter", "args")
+
+    def __init__(self, letter: str, args: tuple[str, ...] = ()):
+        _set(self, "letter", letter)
+        _set(self, "args", args)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.letter, self.args) == (other.letter, other.args)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.letter, self.args))
 
 
-@dataclass(frozen=True)
-class Eq(Formula):
-    left: str
-    right: str
+class Eq(_Binary):
+    """left = right, of two variables."""
 
 
-@dataclass(frozen=True)
 class Verum(Formula):
     pass
 
 
-@dataclass(frozen=True)
 class Falsum(Formula):
     pass
 
 
-@dataclass(frozen=True)
-class Not(Formula):
-    body: Formula
+class Not(_Unary):
+    pass
 
 
-@dataclass(frozen=True)
-class And(Formula):
-    left: Formula
-    right: Formula
+class And(_Binary):
+    pass
 
 
-@dataclass(frozen=True)
-class Or(Formula):
-    left: Formula
-    right: Formula
+class Or(_Binary):
+    pass
 
 
-@dataclass(frozen=True)
-class Implies(Formula):
-    left: Formula
-    right: Formula
+class Implies(_Binary):
+    pass
 
 
-@dataclass(frozen=True)
-class Iff(Formula):
-    left: Formula
-    right: Formula
+class Iff(_Binary):
+    pass
 
 
-@dataclass(frozen=True)
-class Box(Formula):
-    body: Formula
+class Box(_Unary):
+    pass
 
 
-@dataclass(frozen=True)
-class Diamond(Formula):
-    body: Formula
+class Diamond(_Unary):
+    pass
 
 
-@dataclass(frozen=True)
-class Forall(Formula):
-    var: str
-    body: Formula
+class Forall(_Quantifier):
+    pass
 
 
-@dataclass(frozen=True)
-class Exists(Formula):
-    var: str
-    body: Formula
+class Exists(_Quantifier):
+    pass
 
 
 # Binary connectives: token, precedence (higher binds tighter), right
@@ -426,23 +516,27 @@ def modal_depth(f: Formula) -> int:
     return depth + 1 if isinstance(f, (Box, Diamond)) else depth
 
 
-@dataclass(frozen=True)
-class FragmentReport:
-    is_monadic: bool
-    is_monodic: bool
-    is_positive: bool
-    has_equality: bool
-    variable_count: int
-    modal_depth: int
-    max_letter_arity: int
-    # Each letter's arity, for the searches; not part of the report.
-    letter_arities: dict = field(default_factory=dict, compare=False,
-                                 repr=False)
+class FragmentReport(FrozenRecord):
+    _fields = ("is_monadic", "is_monodic", "is_positive", "has_equality",
+               "variable_count", "modal_depth", "max_letter_arity")
+
+    def __init__(self, is_monadic: bool, is_monodic: bool, is_positive: bool,
+                 has_equality: bool, variable_count: int, modal_depth: int,
+                 max_letter_arity: int, letter_arities: dict | None = None):
+        _set(self, "is_monadic", is_monadic)
+        _set(self, "is_monodic", is_monodic)
+        _set(self, "is_positive", is_positive)
+        _set(self, "has_equality", has_equality)
+        _set(self, "variable_count", variable_count)
+        _set(self, "modal_depth", modal_depth)
+        _set(self, "max_letter_arity", max_letter_arity)
+        # Each letter's arity, for the searches; not part of the report,
+        # so outside repr, == and hash.
+        _set(self, "letter_arities",
+             {} if letter_arities is None else letter_arities)
 
     def to_dict(self) -> dict:
-        out = asdict(self)
-        del out["letter_arities"]
-        return out
+        return dict(zip(self._fields, self._key()))
 
 
 def classify(f: Formula) -> FragmentReport:

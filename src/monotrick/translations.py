@@ -9,7 +9,6 @@ the root exactly when the original pair is in the relation.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
 from enum import Enum
 from itertools import combinations_with_replacement, product
 from typing import Callable, Iterable, NamedTuple
@@ -17,7 +16,7 @@ from typing import Callable, Iterable, NamedTuple
 from .semantics import Equality, Frame, Model, identity_partition
 from .syntax import (
     And, Atom, Diamond, Falsum, Formula, FragmentReport, Implies, Not, Or,
-    classify, letters, map_children,
+    Record, classify, letters, map_children,
 )
 
 
@@ -32,22 +31,24 @@ class TranslationError(ValueError):
     pass
 
 
-@dataclass
-class ClassicalStructure:
+class ClassicalStructure(Record):
     """Finite domain with one binary relation; input side of the trick."""
 
-    domain: tuple
-    relation: frozenset
-    unary: dict[str, frozenset] = field(default_factory=dict)
-    nullary: dict[str, bool] = field(default_factory=dict)
+    _fields = ("domain", "relation", "unary", "nullary")
 
-    def __post_init__(self):
-        dom = set(self.domain)
+    def __init__(self, domain: tuple, relation: frozenset,
+                 unary: dict[str, frozenset] | None = None,
+                 nullary: dict[str, bool] | None = None):
+        dom = set(domain)
         if not dom:
             raise ValueError("domain must be nonempty")
-        for (a, b) in self.relation:
+        for (a, b) in relation:
             if a not in dom or b not in dom:
                 raise ValueError(f"relation pair ({a},{b}) leaves the domain")
+        self.domain = domain
+        self.relation = relation
+        self.unary = {} if unary is None else unary
+        self.nullary = {} if nullary is None else nullary
 
     def is_symmetric(self) -> bool:
         return all((b, a) in self.relation for (a, b) in self.relation)

@@ -101,6 +101,18 @@ def test_eval(capsys, model_file):
     assert code == 1 and out.strip() == "false"
 
 
+@pytest.mark.parametrize("assign, named", [
+    ("x=0,x=1", "'x=1'; x is already assigned"),
+    ("=0", "'=0'; '' is not a variable"),
+    ("Q=1", "'Q=1'; 'Q' is not a variable"),
+])
+def test_eval_malformed_assignment_exit_2(capsys, model_file, assign, named):
+    code, out, err = run(capsys, "eval", "--model", model_file, "--world",
+                         "root", "--assign", assign, "Q1(x)")
+    _assert_usage_error(code, err)
+    assert err == f"error: bad assignment entry {named}\n" and out == ""
+
+
 def test_check(capsys, model_file):
     code, out, _ = run(capsys, "check", "--model", model_file, "[]true")
     assert code == 0 and out.strip() == "valid"
