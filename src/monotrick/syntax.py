@@ -12,10 +12,10 @@ table ``_BINARY``.
 Identifiers matching ``[xyzuvw][0-9]*`` are variables; everything else
 is a predicate letter.
 
-Formula nodes, like every record of the package (``Record``), behave as
-the dataclasses they were once declared as, but are written out: a
-dataclass writes the source of its methods and execs it at every
-import.  A node is immutable: assigning or deleting an attribute raises
+Formula nodes, like the package's other records (``Record``), are plain
+classes that behave as frozen dataclasses; a dataclass would write the
+source of its methods and exec it at every import.  A node is
+immutable: assigning or deleting an attribute raises
 dataclasses.FrozenInstanceError, and its fields are its only instance
 attributes.  Two nodes are equal when they are of one class with equal
 fields, and a node hashes as the tuple of its fields, so equal nodes

@@ -1,7 +1,7 @@
-"""The formula nodes and the result records behave as the dataclasses
-they were declared as: the same constructor, defaults and a fresh
-default container per instance, ``==`` only within one class, the same
-hash values, repr text, frozenness and instance attributes.  Each class
+"""The formula nodes and the result records behave as dataclasses: the
+same constructor, defaults and a fresh default container per instance,
+``==`` only within one class, the same hash values, repr text,
+frozenness and instance attributes.  Each class
 is described here by its fields, not read from the class, so the table
 states the behaviour independently of how the class is written."""
 
