@@ -25,6 +25,8 @@ first hit as a search of every frame:
   generate is thus also a hit on a frame with fewer worlds, which comes
   first.  The worlds that generate a frame, its roots (``_roots``), come
   from ``_ball``, the one walk that tells which worlds reach which.
+  Each (world count, class) is walked once per process (``_frame_table``);
+  a class without a one-world frame has no frame (``sat_bounded``).
 - ``sat_bounded`` in intuitionistic mode and for a formula without
   modalities: only the first one-world frame of the class (see there).
 - ``sat_bounded`` tests each model only at its frame's roots.  A hit at
@@ -51,9 +53,11 @@ every search and ``enumerate_models`` shares them read-only.
 They also skip what the formula cannot observe, per ``syntax.classify``:
 
 - Equalities.  For a formula without ``=`` truth does not depend on the
-  equality, so of each valuation's equalities only the first one kept
-  above is checked.  It is the first hit's: an earlier equality of the
-  same valuation would be an earlier hit.
+  equality, so each valuation is checked once, under the identity.  A hit
+  under eq1 (or eq2 below, ``_every_equality``) then gets the first
+  congruent equality, the first hit's.  The lex-leader test keeps that
+  one: a swap that fixes the valuation maps congruent equalities to
+  congruent ones, so it maps the first to no earlier one.
 - Twins.  For a formula without ``=`` whose letters are at most unary, a
   valuation is skipped when an adjacent swap of one layer fixes it: its
   two individuals exist in the same worlds and agree on every letter at
@@ -251,22 +255,26 @@ def frame_matches(fr: Frame, cls: FrameClass) -> bool:
                for name in cls.properties)
 
 
-def _frames(world_bound: int, cls: FrameClass, keep):
-    """Frames on w0..w(n-1), n ascending, in bit-mask order; bit n*a + b
-    of a mask is the edge wa -> wb.  Yields those whose mask keep(n, mask)
-    accepts and that match cls."""
+def _frame(worlds: tuple, mask: int) -> Frame:
+    """The frame on worlds with the edges of mask: bit n*a + b is wa -> wb."""
+    n = len(worlds)
+    return Frame(worlds, frozenset((worlds[i // n], worlds[i % n])
+                                   for i in range(n * n) if mask >> i & 1))
+
+
+def _frames(world_bound: int, cls: FrameClass, keep, start: int = 1):
+    """(mask, frame) for the frames on w0..w(n-1), n from start to
+    world_bound, in bit-mask order, whose mask keep(n, mask) accepts and
+    that match cls."""
     if world_bound < 1:
         raise ValueError("world_bound must be >= 1")
-    for n in range(1, world_bound + 1):
+    for n in range(start, world_bound + 1):
         worlds = tuple(f"w{i}" for i in range(n))
-        pairs = [(a, b) for a in worlds for b in worlds]
-        for mask in range(1 << len(pairs)):
-            if not keep(n, mask):
-                continue
-            access = frozenset(p for i, p in enumerate(pairs) if mask >> i & 1)
-            fr = Frame(worlds, access)
-            if frame_matches(fr, cls):
-                yield fr
+        for mask in range(1 << n * n):
+            if keep(n, mask):
+                fr = _frame(worlds, mask)
+                if frame_matches(fr, cls):
+                    yield mask, fr
 
 
 def enumerate_frames(world_bound: int, cls: FrameClass = FrameClass()):
@@ -275,7 +283,7 @@ def enumerate_frames(world_bound: int, cls: FrameClass = FrameClass()):
     World count ascends; accessibility relations follow lexicographic
     bit order over the sorted pair list.
     """
-    return _frames(world_bound, cls, lambda n, mask: True)
+    return (fr for _, fr in _frames(world_bound, cls, lambda n, mask: True))
 
 
 @cache
@@ -316,18 +324,30 @@ def enumerate_frames_up_to_iso(world_bound: int,
                                cls: FrameClass = FrameClass()):
     """The frames of enumerate_frames that have the least mask in their
     isomorphism class, in the same order: one frame per class."""
-    return _frames(world_bound, cls, _least_labelled)
+    return (fr for _, fr in _frames(world_bound, cls, _least_labelled))
+
+
+@lru_cache(maxsize=64)
+def _frame_table(n: int, cls: FrameClass) -> tuple:
+    """(mask, roots) of each point-generated frame of n worlds of
+    enumerate_frames_up_to_iso(n, cls), in its order, with the worlds
+    that generate it (_roots); none if cls has no one-world frame."""
+    if n > 1 and not _frame_table(1, cls):
+        return ()
+    return tuple((mask, tuple(roots))
+                 for mask, fr in _frames(n, cls, _least_labelled, n)
+                 if (roots := _roots(fr)))
 
 
 def _generated_frames(world_bound: int, cls: FrameClass = FrameClass()):
-    """(frame, roots) for each point-generated frame of
-    enumerate_frames_up_to_iso, in the same order: the frames that can
-    carry the first hit of a search, each with the worlds that generate
-    it (_roots)."""
-    for fr in enumerate_frames_up_to_iso(world_bound, cls):
-        roots = _roots(fr)
-        if roots:
-            yield fr, roots
+    """(frame, roots) of each frame of _frame_table, n ascending: the
+    frames that can carry the first hit of a search."""
+    if world_bound < 1:
+        raise ValueError("world_bound must be >= 1")
+    for n in range(1, world_bound + 1):
+        worlds = tuple(f"w{i}" for i in range(n))
+        for mask, roots in _frame_table(n, cls):
+            yield _frame(worlds, mask), list(roots)
 
 
 def _ball(fr: Frame, w: str, d: float) -> tuple:
@@ -364,6 +384,13 @@ def _roots(fr: Frame) -> list:
     that generate it."""
     return [w for w in fr.worlds if len(_ball(fr, w, float("inf"))[0])
             == len(fr.worlds)]
+
+
+def _every_equality(frame: Frame, principle: str, constant: bool) -> bool:
+    """Whether a search keeps every equality of the principle: eq1, and
+    eq2 with constant domains on a frame not connected (module docstring)."""
+    return principle != "eq3" and (principle != "eq2" or constant
+                                   and not _connected(frame))
 
 
 def _connected(frame: Frame) -> bool:
@@ -669,22 +696,22 @@ def _models(frame: Frame, letter_arities: dict, domain_bound: int, mode: str,
             sees_equality: bool = True):
     """The models of enumerate_models, in its order.  With leaders_only,
     skip each model that swapping two adjacent individuals of one domain
-    layer turns into a model that comes earlier, and for a formula without
-    ``=`` (not sees_equality) keep one equality per valuation and, if the
-    letters are at most unary, skip valuations with twin individuals; and
-    give eq2 the identity equality only, unless the domains are constant
-    on a frame that is not connected (see the module docstring).
+    layer turns into a model that comes earlier, check the identity
+    equality only for a formula without ``=`` (not sees_equality) and
+    unless _every_equality, and skip valuations with twin individuals if
+    the formula has no ``=`` and letters of arity at most 1 (see the
+    module docstring).
 
     Each domain assignment has one live model, yielded again for each of
     its models with its valuation and equality updated in place: a model
     from _models is valid until the generator is resumed.  _copy keeps
     one."""
     worlds = frame.worlds
-    one_equality = leaders_only and not sees_equality
-    no_twins = one_equality and max(letter_arities.values(), default=0) <= 1
-    identity_only = eq_principle == "eq3" or (
-        leaders_only and eq_principle == "eq2"
-        and not (constant_domains and not _connected(frame)))
+    no_twins = leaders_only and not sees_equality and max(
+        letter_arities.values(), default=0) <= 1
+    identity_only = eq_principle == "eq3" or leaders_only and not (
+        sees_equality
+        and _every_equality(frame, eq_principle, constant_domains))
     # Options that do not depend on the edges are asked for on the frame
     # without edges, which every frame with these worlds shares.
     bare = Frame(worlds, frozenset())
@@ -734,8 +761,6 @@ def _models(frame: Frame, letter_arities: dict, domain_bound: int, mode: str,
                         continue
                     model.equality = equality
                     yield model
-                    if one_equality:
-                        break
 
 
 def enumerate_models(frame: Frame, letter_arities: dict, domain_bound: int,
@@ -816,13 +841,12 @@ def _search(frames, f: Formula, report, bounds: dict,
     if max_steps is not None and max_steps < 0:
         raise ValueError(f"step cap must be >= 0, got {max_steps}")
     limit = float("inf") if max_steps is None else max_steps
-    mode = bounds["mode"]
+    mode, principle = bounds["mode"], bounds["eq_principle"]
     compiled = compile_formula(f, mode)
     steps = 0
     for frame, worlds in frames:
         for model in _models(frame, report.letter_arities,
-                             bounds["domain_bound"], mode,
-                             bounds["eq_principle"],
+                             bounds["domain_bound"], mode, principle,
                              bounds["constant_domains"], True,
                              report.has_equality):
             steps += 1
@@ -832,6 +856,12 @@ def _search(frames, f: Formula, report, bounds: dict,
                                warnings=warnings)
             point = first_point(model, compiled, value, worlds)
             if point is not None:
+                if not report.has_equality and _every_equality(
+                        frame, principle, bounds["constant_domains"]):
+                    doms = tuple(map(model.domains.get, frame.worlds))
+                    model.equality = _congruent(
+                        frame, model.valuation,
+                        *_equalities(frame, doms, principle)[:2])[0][1]
                 return Verdict(outcomes[0], bounds, model=_copy(model),
                                world=point[0], assignment=point[1],
                                warnings=warnings)

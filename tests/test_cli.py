@@ -3,6 +3,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -83,7 +84,7 @@ def test_validate_clean(capsys, model_file):
 
 
 def test_validate_violations(capsys, tmp_path, model_file):
-    broken = json.loads(open(model_file).read())
+    broken = json.loads(pathlib.Path(model_file).read_text())
     broken["equality"]["classes"]["root"] = [["0", "1"]]
     path = tmp_path / "broken.json"
     path.write_text(json.dumps(broken))
@@ -136,6 +137,19 @@ def test_sat_repeated_alt_keeps_the_least_bound(capsys, cls):
     # Two successors are needed, and alt_1 allows one whatever its order.
     code, out, _ = run(capsys, "sat", "--class", cls, "--worlds", "3",
                        "--domain", "1", "<>p & <>~p")
+    assert code == 1 and out.splitlines()[0] == "unsatisfiable_up_to_bound"
+
+
+@pytest.mark.parametrize("cls", ("reflexive,irreflexive_transitive",
+                                 "alt_0,reflexive"))
+def test_sat_in_a_class_without_frames_answers_at_once(capsys, cls):
+    # A class without a one-world frame has no frame, so sat walks none
+    # of the 2^25 frame masks of five worlds; the walk took about 13
+    # minutes, and no step cap stopped it, as no model was ever checked.
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "sat", "--class", cls, "--worlds", "5",
+                       "--domain", "1", "<>p")
+    assert time.perf_counter() - start < 1
     assert code == 1 and out.splitlines()[0] == "unsatisfiable_up_to_bound"
 
 
@@ -425,7 +439,7 @@ def test_frame_with_list_world_name_exit_2(capsys, tmp_path, command):
 @pytest.mark.parametrize("value", ["false", None])
 def test_model_with_non_boolean_constant_domains_exit_2(capsys, tmp_path,
                                                        model_file, value):
-    broken = json.loads(open(model_file).read())
+    broken = json.loads(pathlib.Path(model_file).read_text())
     broken["constant_domains"] = value
     path = tmp_path / "constant.json"
     path.write_text(json.dumps(broken))
@@ -446,7 +460,7 @@ def test_model_listing_an_individual_twice_fails_validate(capsys, tmp_path):
 
 @pytest.mark.parametrize("where", ["domains", "valuation", "classes"])
 def test_model_entry_outside_frame(capsys, tmp_path, model_file, where):
-    broken = json.loads(open(model_file).read())
+    broken = json.loads(pathlib.Path(model_file).read_text())
     table = broken["equality"] if where == "classes" else broken
     table[where]["ghost"] = {} if where == "valuation" else [["0"]]
     path = str(tmp_path / "ghost.json")
@@ -461,7 +475,7 @@ def test_model_entry_outside_frame(capsys, tmp_path, model_file, where):
 
 
 def test_model_with_list_domains_exit_2(capsys, tmp_path, model_file):
-    broken = json.loads(open(model_file).read())
+    broken = json.loads(pathlib.Path(model_file).read_text())
     broken["domains"] = ["0", "1"]
     path = tmp_path / "broken.json"
     path.write_text(json.dumps(broken))

@@ -1,6 +1,7 @@
 """Smoke test of the benchmark at its smallest size: the first batch of
 seed 1 of each perfbench workload, played through ``cli.main`` in
-process, must pass the benchmark's known-answer gate on every query."""
+process, must pass the benchmark's known-answer gate on every query and
+check the pinned number of models."""
 
 import importlib
 import pathlib
@@ -12,6 +13,12 @@ PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 MODULES = ("syntax", "semantics", "translations", "search", "experiments",
            "cli")
 
+# The models that sat and decide check (calls of search.first_point) in
+# the first batch of seed 1.  A change that makes each model cheaper
+# checks as many as before; the experiment searches no models.
+MODELS_CHECKED = {"sat-classes": 3748, "decide-frame": 9719,
+                  "trick-faithfulness": 0}
+
 
 @pytest.fixture(scope="module")
 def workloads():
@@ -22,11 +29,18 @@ def workloads():
         sys.path.remove(str(PERFBENCH))
 
 
-@pytest.mark.parametrize("name", ("sat-classes", "decide-frame",
-                                  "trick-faithfulness"))
-def test_first_batch_passes_the_gate(workloads, name, tmp_path):
+@pytest.mark.parametrize("name", tuple(MODELS_CHECKED))
+def test_first_batch_passes_the_gate(workloads, name, tmp_path, monkeypatch):
     api = {module: importlib.import_module(f"monotrick.{module}")
            for module in MODULES}
+    search = api["search"]
+    checked = []
+
+    def counting(m, compiled, value, worlds=None):
+        checked.append(None)
+        return first_point(m, compiled, value, worlds)
+    first_point = search.first_point
+    monkeypatch.setattr(search, "first_point", counting)
     workload = workloads.WORKLOADS[name]()
     workload.setup(api, 1, str(tmp_path))
     queries = workload.batch(1, 0)
@@ -34,3 +48,4 @@ def test_first_batch_passes_the_gate(workloads, name, tmp_path):
     failures = [f"{q.kind} {q.argv}: {err}" for q in queries
                 if (err := workload.check(q, workload.run(q))) is not None]
     assert failures == []
+    assert len(checked) == MODELS_CHECKED[name]

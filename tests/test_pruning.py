@@ -161,11 +161,56 @@ def test_generated_frames_match_brute_force():
     assert list(search._generated_frames(3)) == _brute_generated_frames(3)
 
 
-@pytest.mark.parametrize("cls_text", (*PROPERTY_NAMES, "alt_1", "alt_2"))
+# Classes without a one-world frame, and so without any frame.
+EMPTY_CLASSES = ("reflexive,irreflexive_transitive", "alt_0,reflexive")
+
+
+@pytest.mark.parametrize("cls_text", (*PROPERTY_NAMES, "alt_1", "alt_2",
+                                      *EMPTY_CLASSES))
 def test_generated_frames_of_each_class_match_brute_force(cls_text):
     cls = parse_frame_class(cls_text)
     assert list(search._generated_frames(3, cls)) == \
         _brute_generated_frames(3, cls)
+
+
+def _walk_with_roots(world_bound, cls=FrameClass()):
+    """(frame, roots) of each frame of enumerate_frames_up_to_iso that
+    has roots, the worlds that reach every world."""
+    out = []
+    for fr in enumerate_frames_up_to_iso(world_bound, cls):
+        roots = [w for w in fr.worlds if _reachable(fr, w) == set(fr.worlds)]
+        if roots:
+            out.append((fr, roots))
+    return out
+
+
+def test_generated_frames_of_four_worlds_match_the_walk():
+    assert list(search._generated_frames(4)) == _walk_with_roots(4)
+
+
+def test_frame_tables_are_kept_per_world_count_and_class():
+    """Each (world count, class) has its own table, filled once: from
+    cold tables and then from warm ones, in either order, each class
+    gets the walk's frames, roots and order, whatever was asked before.
+    The tables hold ints and world names only, and are bounded."""
+    classes = [parse_frame_class(text) for text in (
+        "", "reflexive", "symmetric", "transitive,alt_1", *EMPTY_CLASSES)]
+    want = {cls: _walk_with_roots(3, cls) for cls in classes}
+    search._frame_table.cache_clear()
+    for order in (classes, classes[::-1], classes):
+        for cls in order:
+            assert list(search._generated_frames(3, cls)) == want[cls], cls
+            assert list(search._generated_frames(2, cls)) == [
+                (fr, roots) for fr, roots in want[cls]
+                if len(fr.worlds) <= 2], cls
+    assert search._frame_table.cache_info().misses == 3 * len(classes)
+    for n, cls in product((1, 2, 3), classes):
+        for mask, roots in search._frame_table(n, cls):
+            assert type(mask) is int and type(roots) is tuple
+            assert all(type(w) is str for w in roots)
+    maxsize = search._frame_table.cache_parameters()["maxsize"]
+    assert maxsize is not None
+    assert search._frame_table.cache_info().currsize < maxsize
 
 
 def test_connected_matches_brute_force():
@@ -464,6 +509,52 @@ def test_sat_skipping_unobserved_matches_reference(mode, eq_principle,
                 assert got == reference_sat(f, cls, 2, domain, mode,
                                             eq_principle, constant), \
                     (cls_text, text, domain)
+
+
+# Searches of formulas without = under eq1, and how many witnesses their
+# scans find: none for unsatisfiable_up_to_bound and valid, and for a
+# countermodel on the 3-preorder also the one of the view of w1, after
+# which the frame itself is scanned.
+BLIND_EQ1_SEARCHES = [
+    (lambda: sat_bounded(parse("exists x <>Q(x) & ~exists x <>Q(x)"),
+                         FrameClass(), 2, 2, eq_principle="eq1"), 0),
+    (lambda: sat_bounded(parse("exists x exists y (Q(x) & ~Q(y) & "
+                               "<>(Q(x) & Q(y)))"),
+                         FrameClass(), 2, 2, eq_principle="eq1"), 1),
+    (lambda: sat_bounded(parse("forall x exists y P(x,y) & <>p"),
+                         FrameClass(), 2, 2, eq_principle="eq1",
+                         constant_domains=True), 1),
+    (lambda: decide_valid_over_frame(PREORDER3, parse("forall x (Q(x) -> "
+                                                      "<>Q(x))"),
+                                     2, eq_principle="eq1"), 0),
+    (lambda: decide_valid_over_frame(Frame(("w0",), frozenset()),
+                                     parse("exists x Q(x) -> forall x Q(x)"),
+                                     2, eq_principle="eq1"), 1),
+    (lambda: decide_valid_over_frame(PREORDER3, parse("forall x Q(x) | "
+                                                      "~forall x Q(x)"),
+                                     2, "int", "eq1"), 2),
+]
+
+
+@pytest.mark.parametrize("query", range(len(BLIND_EQ1_SEARCHES)))
+def test_congruence_is_tested_for_the_witness_only(monkeypatch, query):
+    """Without =, an eq1 search checks each valuation under the identity
+    alone and tests congruence (_congruent) only for a witness, once; a
+    search without one never tests it.  The witness is a model of eq1."""
+    calls = []
+
+    def counting(*args):
+        calls.append(None)
+        return congruent(*args)
+    congruent = search._congruent
+    monkeypatch.setattr(search, "_congruent", counting)
+    run, witnesses = BLIND_EQ1_SEARCHES[query]
+    verdict = run()
+    assert len(calls) == witnesses
+    assert (verdict.model is not None) == bool(witnesses)
+    if verdict.model is not None:
+        assert verdict.model.equality.principle == "eq1"
+        assert validate_model(verdict.model) == []
 
 
 def test_modality_free_valid_decide_checks_one_world(monkeypatch):
