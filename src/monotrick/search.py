@@ -25,8 +25,8 @@ first hit as a search of every frame:
   generate is thus also a hit on a frame with fewer worlds, which comes
   first.  The worlds that generate a frame, its roots (``_roots``), come
   from ``_ball``, the one walk that tells which worlds reach which.
-  Each (world count, class) is walked once per process (``_frame_table``);
-  a class without a one-world frame has no frame (``sat_bounded``).
+  A class without a one-world frame has no frame (``sat_bounded``), so
+  its walk stops at once.
 - ``sat_bounded`` in intuitionistic mode and for a formula without
   modalities: only the first one-world frame of the class (see there).
 - ``sat_bounded`` tests each model only at its frame's roots.  A hit at
@@ -255,26 +255,22 @@ def frame_matches(fr: Frame, cls: FrameClass) -> bool:
                for name in cls.properties)
 
 
-def _frame(worlds: tuple, mask: int) -> Frame:
-    """The frame on worlds with the edges of mask: bit n*a + b is wa -> wb."""
-    n = len(worlds)
-    return Frame(worlds, frozenset((worlds[i // n], worlds[i % n])
-                                   for i in range(n * n) if mask >> i & 1))
-
-
-def _frames(world_bound: int, cls: FrameClass, keep, start: int = 1):
-    """(mask, frame) for the frames on w0..w(n-1), n from start to
-    world_bound, in bit-mask order, whose mask keep(n, mask) accepts and
-    that match cls."""
+def _frames(world_bound: int, cls: FrameClass, keep):
+    """Frames on w0..w(n-1), n ascending, in bit-mask order; bit n*a + b
+    of a mask is the edge wa -> wb.  Yields those whose mask keep(n, mask)
+    accepts and that match cls."""
     if world_bound < 1:
         raise ValueError("world_bound must be >= 1")
-    for n in range(start, world_bound + 1):
+    for n in range(1, world_bound + 1):
         worlds = tuple(f"w{i}" for i in range(n))
-        for mask in range(1 << n * n):
-            if keep(n, mask):
-                fr = _frame(worlds, mask)
-                if frame_matches(fr, cls):
-                    yield mask, fr
+        pairs = [(a, b) for a in worlds for b in worlds]
+        for mask in range(1 << len(pairs)):
+            if not keep(n, mask):
+                continue
+            access = frozenset(p for i, p in enumerate(pairs) if mask >> i & 1)
+            fr = Frame(worlds, access)
+            if frame_matches(fr, cls):
+                yield fr
 
 
 def enumerate_frames(world_bound: int, cls: FrameClass = FrameClass()):
@@ -283,7 +279,7 @@ def enumerate_frames(world_bound: int, cls: FrameClass = FrameClass()):
     World count ascends; accessibility relations follow lexicographic
     bit order over the sorted pair list.
     """
-    return (fr for _, fr in _frames(world_bound, cls, lambda n, mask: True))
+    return _frames(world_bound, cls, lambda n, mask: True)
 
 
 @cache
@@ -324,30 +320,20 @@ def enumerate_frames_up_to_iso(world_bound: int,
                                cls: FrameClass = FrameClass()):
     """The frames of enumerate_frames that have the least mask in their
     isomorphism class, in the same order: one frame per class."""
-    return (fr for _, fr in _frames(world_bound, cls, _least_labelled))
-
-
-@lru_cache(maxsize=64)
-def _frame_table(n: int, cls: FrameClass) -> tuple:
-    """(mask, roots) of each point-generated frame of n worlds of
-    enumerate_frames_up_to_iso(n, cls), in its order, with the worlds
-    that generate it (_roots); none if cls has no one-world frame."""
-    if n > 1 and not _frame_table(1, cls):
-        return ()
-    return tuple((mask, tuple(roots))
-                 for mask, fr in _frames(n, cls, _least_labelled, n)
-                 if (roots := _roots(fr)))
+    return _frames(world_bound, cls, _least_labelled)
 
 
 def _generated_frames(world_bound: int, cls: FrameClass = FrameClass()):
-    """(frame, roots) of each frame of _frame_table, n ascending: the
-    frames that can carry the first hit of a search."""
-    if world_bound < 1:
-        raise ValueError("world_bound must be >= 1")
-    for n in range(1, world_bound + 1):
-        worlds = tuple(f"w{i}" for i in range(n))
-        for mask, roots in _frame_table(n, cls):
-            yield _frame(worlds, mask), list(roots)
+    """(frame, roots) for each point-generated frame of
+    enumerate_frames_up_to_iso, in the same order: the frames that can
+    carry the first hit of a search, each with the worlds that generate
+    it (_roots).  None if cls has no one-world frame (sat_bounded)."""
+    if world_bound >= 1 and next(enumerate_frames(1, cls), None) is None:
+        return
+    for fr in enumerate_frames_up_to_iso(world_bound, cls):
+        roots = _roots(fr)
+        if roots:
+            yield fr, roots
 
 
 def _ball(fr: Frame, w: str, d: float) -> tuple:
@@ -696,11 +682,11 @@ def _models(frame: Frame, letter_arities: dict, domain_bound: int, mode: str,
             sees_equality: bool = True):
     """The models of enumerate_models, in its order.  With leaders_only,
     skip each model that swapping two adjacent individuals of one domain
-    layer turns into a model that comes earlier, check the identity
-    equality only for a formula without ``=`` (not sees_equality) and
-    unless _every_equality, and skip valuations with twin individuals if
-    the formula has no ``=`` and letters of arity at most 1 (see the
-    module docstring).
+    layer turns into a model that comes earlier, check only the identity
+    equality for a formula without ``=`` (not sees_equality) or unless
+    _every_equality, and skip valuations with twin individuals if the
+    formula has no ``=`` and letters of arity at most 1 (see the module
+    docstring).
 
     Each domain assignment has one live model, yielded again for each of
     its models with its valuation and equality updated in place: a model

@@ -173,6 +173,21 @@ def test_generated_frames_of_each_class_match_brute_force(cls_text):
         _brute_generated_frames(3, cls)
 
 
+@pytest.mark.parametrize("cls_text", EMPTY_CLASSES)
+def test_class_without_frames_tests_only_the_one_world_frames(monkeypatch,
+                                                              cls_text):
+    tested = []
+
+    def counting(fr, cls):
+        tested.append(len(fr.worlds))
+        return matches(fr, cls)
+    matches = search.frame_matches
+    monkeypatch.setattr(search, "frame_matches", counting)
+    assert list(search._generated_frames(4, parse_frame_class(cls_text))) \
+        == []
+    assert tested == [1, 1]
+
+
 def _walk_with_roots(world_bound, cls=FrameClass()):
     """(frame, roots) of each frame of enumerate_frames_up_to_iso that
     has roots, the worlds that reach every world."""
@@ -186,31 +201,6 @@ def _walk_with_roots(world_bound, cls=FrameClass()):
 
 def test_generated_frames_of_four_worlds_match_the_walk():
     assert list(search._generated_frames(4)) == _walk_with_roots(4)
-
-
-def test_frame_tables_are_kept_per_world_count_and_class():
-    """Each (world count, class) has its own table, filled once: from
-    cold tables and then from warm ones, in either order, each class
-    gets the walk's frames, roots and order, whatever was asked before.
-    The tables hold ints and world names only, and are bounded."""
-    classes = [parse_frame_class(text) for text in (
-        "", "reflexive", "symmetric", "transitive,alt_1", *EMPTY_CLASSES)]
-    want = {cls: _walk_with_roots(3, cls) for cls in classes}
-    search._frame_table.cache_clear()
-    for order in (classes, classes[::-1], classes):
-        for cls in order:
-            assert list(search._generated_frames(3, cls)) == want[cls], cls
-            assert list(search._generated_frames(2, cls)) == [
-                (fr, roots) for fr, roots in want[cls]
-                if len(fr.worlds) <= 2], cls
-    assert search._frame_table.cache_info().misses == 3 * len(classes)
-    for n, cls in product((1, 2, 3), classes):
-        for mask, roots in search._frame_table(n, cls):
-            assert type(mask) is int and type(roots) is tuple
-            assert all(type(w) is str for w in roots)
-    maxsize = search._frame_table.cache_parameters()["maxsize"]
-    assert maxsize is not None
-    assert search._frame_table.cache_info().currsize < maxsize
 
 
 def test_connected_matches_brute_force():
